@@ -6,7 +6,13 @@
     exhaustion, then performs a number of {e iterations}, each consisting
     of a random double-bridge 4-Opt kick [20] followed by 3-Opt
     re-optimization; a worsening iteration is undone.  The best tour over
-    all runs is returned.  The paper uses 10 runs of 2·N iterations. *)
+    all runs is returned.  The paper uses 10 runs of 2·N iterations.
+
+    A kick costs O(moves) tour operations, not O(n): the double bridge
+    is three range reversals on the live tour, the 3-Opt state tracks
+    the cost from move gains, and a worsening iteration is undone by
+    replaying the state's reversal journal backwards
+    ({!Three_opt.rollback}).  The tour is materialized once per run. *)
 
 type config = {
   runs : int;  (** independent restarts (paper: 10) *)
@@ -43,6 +49,7 @@ type stats = {
   kicks : int;  (** total kicks over all runs *)
   moves_2opt : int;
   moves_3opt : int;
+  scans_skipped : int;  (** 3-Opt scans elided by the don't-look stamps *)
   timed_out : bool;  (** the budget ran out before the search finished *)
 }
 
@@ -56,15 +63,16 @@ let set_tour = Three_opt.set_tour
 let double_bridge (st : Three_opt.state) rng =
   let s = st.Three_opt.s in
   let n = s.Sym.nn in
-  let t = Three_opt.tour st in
-  (* make sure the wrap-around edge (t[n-1], t[0]) is not locked; the
-     rotation does not change the cycle *)
-  if Sym.is_locked s t.(n - 1) t.(0) then begin
-    let first = t.(0) in
-    Array.blit t 1 t 0 (n - 1);
-    t.(n - 1) <- first
-  end;
-  let ok p = not (Sym.is_locked s t.(p - 1) t.(p)) in
+  (* make sure the wrap-around edge (t[n-1], t[0]) is not locked: read
+     the tour rotated by one (the cycle is the same) and apply the
+     rotation only if the kick goes ahead *)
+  let rot =
+    if Sym.is_locked s (Three_opt.city_at st (n - 1)) (Three_opt.city_at st 0)
+    then 1
+    else 0
+  in
+  let t p = Three_opt.city_at st (if p + rot = n then 0 else p + rot) in
+  let ok p = not (Sym.is_locked s (t (p - 1)) (t p)) in
   let rand_cut () =
     let p = ref (1 + Random.State.int rng (n - 1)) in
     while not (ok !p) do
@@ -84,29 +92,24 @@ let double_bridge (st : Three_opt.state) rng =
   else begin
     let a = min !p1 (min !p2 !p3) and c = max !p1 (max !p2 !p3) in
     let b = !p1 + !p2 + !p3 - a - c in
-    (* A = t[0..a-1], B = t[a..b-1], C = t[b..c-1], D = t[c..n-1];
-       double bridge: A C B D *)
-    let t' = Array.make n 0 in
-    let k = ref 0 in
-    let push lo hi =
-      for i = lo to hi do
-        t'.(!k) <- t.(i);
-        incr k
-      done
-    in
-    push 0 (a - 1);
-    push b (c - 1);
-    push a (b - 1);
-    push c (n - 1);
     let touched =
       [
-        t.(0); t.(n - 1);
-        t.(a - 1); t.(a);
-        t.(b - 1); t.(b);
-        t.(c - 1); t.(c);
+        t 0; t (n - 1);
+        t (a - 1); t a;
+        t (b - 1); t b;
+        t (c - 1); t c;
       ]
     in
-    set_tour st t';
+    (* A = t[0..a-1], B = t[a..b-1], C = t[b..c-1], D = t[c..n-1];
+       double bridge: A C B D.  Reversing B C gives rev C, rev B;
+       reversing each half restores their orientation.  The state
+       keeps the cost from the changed edges and journals all four
+       operations. *)
+    if rot = 1 then Three_opt.shift st 1;
+    let mid = a + c - b in
+    Three_opt.reverse st a (c - 1);
+    Three_opt.reverse st a (mid - 1);
+    Three_opt.reverse st mid (c - 1);
     touched
   end
 
@@ -150,7 +153,7 @@ let solve ?(config = default) ?rng ?budget ?initial
     Ba_obs.Metrics.incr Ba_obs.Metrics.Exact_solves;
     ( tour,
       { best_cost = c; runs_with_best = config.runs; kicks = 0; moves_2opt = 0;
-        moves_3opt = 0; timed_out = false } )
+        moves_3opt = 0; scans_skipped = 0; timed_out = false } )
   end
   else begin
     let rng =
@@ -163,7 +166,7 @@ let solve ?(config = default) ?rng ?budget ?initial
     let kicks_per_run = min config.max_kicks (config.kick_factor * n) in
     let best_tour = ref None and best_cost = ref max_int in
     let runs_with_best = ref 0 in
-    let total_kicks = ref 0 and m2 = ref 0 and m3 = ref 0 in
+    let total_kicks = ref 0 and m2 = ref 0 and m3 = ref 0 and skipped = ref 0 in
     let run = ref 0 in
     (* run 0 (the identity start) always executes so that an exhausted
        budget still yields a valid tour; later runs are skipped once the
@@ -190,31 +193,37 @@ let solve ?(config = default) ?rng ?budget ?initial
       in
       Three_opt.activate_all st;
       Three_opt.run ~budget st;
-      let run_best = ref (Three_opt.tour st) in
-      let run_best_cost = ref (Three_opt.cost st) in
+      (* costs in directed units: acceptance compares values that
+         cannot wrap where the directed cost does not *)
+      let run_best_cost = ref (Three_opt.directed_cost st) in
       let kick = ref 0 in
       while !kick < kicks_per_run && not (Ba_robust.Budget.exhausted budget) do
         incr kick;
         incr total_kicks;
+        Three_opt.mark st;
         let touched = double_bridge st rng in
         List.iter (Three_opt.activate st) touched;
         Three_opt.run ~budget st;
-        let c = Three_opt.cost st in
+        let c = Three_opt.directed_cost st in
         if c < !run_best_cost then begin
           run_best_cost := c;
-          run_best := Three_opt.tour st
+          Three_opt.commit st
         end
-        else set_tour st !run_best
+        else Three_opt.rollback st
       done;
       m2 := !m2 + st.Three_opt.moves_2opt;
       m3 := !m3 + st.Three_opt.moves_3opt;
-      let directed_cost = !run_best_cost + s.Sym.offset in
-      if directed_cost < !best_cost then begin
-        best_cost := directed_cost;
-        best_tour := Some (Sym.extract s !run_best);
+      skipped := !skipped + st.Three_opt.scans_skipped;
+      (* the state now holds the run's best tour; one from-scratch sum
+         per run checks the tracked cost independently of the kicks *)
+      let run_best = Three_opt.tour st in
+      assert (Sym.directed_tour_cost s run_best = !run_best_cost);
+      if !run_best_cost < !best_cost then begin
+        best_cost := !run_best_cost;
+        best_tour := Some (Sym.extract s run_best);
         runs_with_best := 1
       end
-      else if directed_cost = !best_cost then incr runs_with_best;
+      else if !run_best_cost = !best_cost then incr runs_with_best;
       incr run
     done;
     let tour = Option.get !best_tour in
@@ -235,6 +244,7 @@ let solve ?(config = default) ?rng ?budget ?initial
         kicks = !total_kicks;
         moves_2opt = !m2;
         moves_3opt = !m3;
+        scans_skipped = !skipped;
         timed_out;
       } )
   end

@@ -1,7 +1,10 @@
 (** Iterated 3-Opt for the directed TSP (via symmetrization), following
     the paper's appendix: randomized Greedy / Nearest-Neighbor / identity
     starts, 3-Opt to exhaustion, then double-bridge kicks with
-    re-optimization, worsening kicks undone; best tour over all runs. *)
+    re-optimization, worsening kicks undone by journaled rollback
+    ({!Three_opt.rollback}); best tour over all runs.  A kick costs
+    O(moves) tour operations — O(moves·√n) on the two-level tour —
+    rather than O(n) copies. *)
 
 type config = {
   runs : int;  (** independent restarts (paper: 10) *)
@@ -26,6 +29,7 @@ type stats = {
   kicks : int;
   moves_2opt : int;
   moves_3opt : int;
+  scans_skipped : int;  (** 3-Opt scans elided by the don't-look stamps *)
   timed_out : bool;  (** the budget ran out before the search finished *)
 }
 
@@ -33,9 +37,11 @@ type stats = {
     version bumped; alias of {!Three_opt.set_tour}). *)
 val set_tour : Three_opt.state -> int array -> unit
 
-(** Random double-bridge kick that never cuts a locked pair edge;
-    returns the boundary cities to re-activate (empty if the kick
-    degenerated and was skipped). *)
+(** Random double-bridge kick that never cuts a locked pair edge,
+    applied in place as (at most) one rotation and three range
+    reversals — journaled when a {!Three_opt.mark} is open; returns the
+    boundary cities to re-activate (empty, and the tour untouched, if
+    the kick degenerated and was skipped). *)
 val double_bridge : Three_opt.state -> Random.State.t -> int list
 
 (** [solve ?config ?rng ?budget d] returns the best directed tour found

@@ -128,6 +128,20 @@ let tour_cost (s : t) (tour : int array) =
   done;
   !total
 
+(** Cost of a symmetric tour in directed units: locked edges count 0
+    and every in/out pair the tour does not join counts [m].  This is
+    [tour_cost + offset] exactly — an alternating tour's directed cost
+    — but summed without the [−m] terms, so it cannot wrap where the
+    directed cost itself does not. *)
+let directed_tour_cost (s : t) (tour : int array) =
+  let nn = s.nn in
+  let total = ref 0 and locked = ref 0 in
+  for i = 0 to nn - 1 do
+    let a = tour.(i) and b = tour.(if i + 1 = nn then 0 else i + 1) in
+    if is_locked s a b then incr locked else total := !total + cost s a b
+  done;
+  !total + (s.m * (s.n_cities - !locked))
+
 (** [check_alternating s tour] verifies that every in/out pair is adjacent
     in the tour (i.e. all locked edges survived local search). *)
 let check_alternating (s : t) (tour : int array) =

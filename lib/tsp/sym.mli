@@ -42,6 +42,11 @@ val expand : t -> int array -> int array
 (** Cost of a symmetric cycle. *)
 val tour_cost : t -> int array -> int
 
+(** Cost of a symmetric cycle in directed units ([tour_cost + offset]):
+    locked edges count 0 and each in/out pair the tour does not join
+    counts [m], so no [−m] term can wrap the sum. *)
+val directed_tour_cost : t -> int array -> int
+
 (** Are all in/out pairs adjacent (all locked edges intact)? *)
 val check_alternating : t -> int array -> bool
 

@@ -25,7 +25,18 @@
     changed since the scan failed, and [try_city] is side-effect-free
     on failure, so the skip is provably unobservable.  Bits-on and
     bits-off runs therefore produce identical tours, costs, and move
-    counts; only [scans_skipped] differs. *)
+    counts; only [scans_skipped] differs.
+
+    The tour cost is tracked, not recomputed: [init]/[set_tour] sum it
+    once in directed units ({!Sym.directed_tour_cost}) and every
+    applied move subtracts the gain the scan already computed, so
+    [cost] is O(1).  Between [mark] and [commit]/[rollback] every tour
+    mutation is journaled as the range reversals (and rotations) that
+    realize it; [rollback] replays the journal backwards — each
+    reversal is its own inverse, and the flat reconnection writes are
+    byte-identical to the reversal sequence — restoring the exact
+    absolute positions on either representation in O(moves) reversals
+    instead of an O(n) [set_tour]. *)
 
 type state = {
   s : Sym.t;
@@ -48,6 +59,13 @@ type state = {
   mutable scr_ry1 : int array;  (** same minus one, cyclically *)
   mutable scr_sy : int array;  (** tour successor of y *)
   mutable scr_pry : int array;  (** tour predecessor of y *)
+  mutable dcost : int;  (** tour cost in directed units (see [cost]) *)
+  mutable marked : bool;  (** a [mark] is open: mutations are journaled *)
+  mutable mark_cost : int;  (** [dcost] when the open mark was set *)
+  mutable journal : int array;
+      (** (l, r) pairs since the mark: a reversal of positions l..r, or
+          a [shift] by r when l = −1 *)
+  mutable jlen : int;  (** used prefix of [journal] *)
 }
 
 let nn st = st.s.Sym.nn
@@ -98,6 +116,11 @@ let init ?(dont_look = true) ?(repr = Tour_repr.Auto) ?spans (s : Sym.t) ~nbr
     scr_ry1 = [||];
     scr_sy = [||];
     scr_pry = [||];
+    dcost = Sym.directed_tour_cost s tour;
+    marked = false;
+    mark_cost = 0;
+    journal = [||];
+    jlen = 0;
   }
 
 let ensure_scratch st len =
@@ -111,12 +134,85 @@ let ensure_scratch st len =
 
 (** Replace the tour wholesale (same cities, new order), e.g. for a
     perturbation restart.  Bumps [version] so stale failed-scan stamps
-    can never suppress a needed rescan. *)
+    can never suppress a needed rescan; recomputes the cost and
+    discards an open mark. *)
 let set_tour st tour =
   let n = nn st in
   if Array.length tour <> n then
     invalid_arg "Three_opt.set_tour: wrong tour size";
   Tour_repr.set_tour st.repr tour;
+  st.dcost <- Sym.directed_tour_cost st.s tour;
+  st.marked <- false;
+  st.jlen <- 0;
+  st.version <- st.version + 1
+
+(* ------------------------------------------------------------------ *)
+(* journal                                                             *)
+
+let record st l r =
+  if st.marked then begin
+    if st.jlen + 2 > Array.length st.journal then begin
+      let j = Array.make (max 64 (2 * Array.length st.journal)) 0 in
+      Array.blit st.journal 0 j 0 st.jlen;
+      st.journal <- j
+    end;
+    st.journal.(st.jlen) <- l;
+    st.journal.(st.jlen + 1) <- r;
+    st.jlen <- st.jlen + 2
+  end
+
+(** Start journaling: [rollback] will return to the current tour and
+    cost.  Re-marking discards the previous journal. *)
+let mark st =
+  st.marked <- true;
+  st.jlen <- 0;
+  st.mark_cost <- st.dcost
+
+(** Keep every mutation since [mark] and stop journaling. *)
+let commit st =
+  if not st.marked then invalid_arg "Three_opt.commit: no open mark";
+  st.marked <- false;
+  st.jlen <- 0
+
+(** Undo every mutation since [mark]: the journal is replayed backwards
+    (reversals are self-inverse, shifts are negated), the marked cost
+    is restored and [version] is bumped once — what [set_tour] with
+    the marked tour would do, so the don't-look stamps stay
+    trajectory-exact. *)
+let rollback st =
+  if not st.marked then invalid_arg "Three_opt.rollback: no open mark";
+  let j = st.journal in
+  let i = ref (st.jlen - 2) in
+  while !i >= 0 do
+    let l = j.(!i) and r = j.(!i + 1) in
+    if l < 0 then Tour_repr.shift st.repr (-r) else Tour_repr.reverse st.repr l r;
+    i := !i - 2
+  done;
+  st.marked <- false;
+  st.jlen <- 0;
+  st.dcost <- st.mark_cost;
+  st.version <- st.version + 1
+
+(** [reverse st l r] reverses the cyclic position range [l..r]
+    (journaled), updating the cost from the two edges it changes. *)
+let reverse st l r =
+  let n = nn st in
+  let len = ((r - l + n) mod n) + 1 in
+  (* reversing n − 1 or n cities keeps the cycle's edge set *)
+  if len < n - 1 then begin
+    let b = city_at st l and c = city_at st r in
+    let a = pred st b and e = succ st c in
+    st.dcost <- st.dcost + d st a c + d st b e - d st a b - d st c e
+  end;
+  Tour_repr.reverse st.repr l r;
+  record st l r;
+  st.version <- st.version + 1
+
+(** [shift st k] moves every city [k] positions back along the tour
+    (journaled); the cycle and its cost are unchanged. *)
+let shift st k =
+  Tour_repr.shift st.repr k;
+  record st (-1) k;
   st.version <- st.version + 1
 
 (** Mark a city to be re-examined. *)
@@ -135,12 +231,16 @@ let activate_all st =
     [pa] and [px] (removing edges (t[pa],t[pa+1]) and (t[px],t[px+1])).
     The side choice counts tour cells, so it is representation-
     independent. *)
-let apply_2opt st ~pa ~px =
+let apply_2opt st ~pa ~px ~gain =
   let n = nn st in
   let len_fwd = (px - pa + n) mod n in
   (* reversing positions pa+1..px, or equivalently px+1..pa *)
-  if len_fwd <= n - len_fwd then Tour_repr.reverse st.repr ((pa + 1) mod n) px
-  else Tour_repr.reverse st.repr ((px + 1) mod n) pa;
+  let l, r =
+    if len_fwd <= n - len_fwd then ((pa + 1) mod n, px) else ((px + 1) mod n, pa)
+  in
+  Tour_repr.reverse st.repr l r;
+  record st l r;
+  st.dcost <- st.dcost - gain;
   st.moves_2opt <- st.moves_2opt + 1;
   st.version <- st.version + 1
 
@@ -148,8 +248,11 @@ type reconnection = Tour_repr.reconnection = T3 | T4 | T5 | T6
 
 (** Apply a pure 3-opt reconnection with cuts after positions [pi],
     [pi+jj], [pi+kk] (see DESIGN.md §6 for the segment algebra). *)
-let apply_3opt st ~pi ~jj ~kk ty =
+let apply_3opt st ~pi ~jj ~kk ~gain ty =
   Tour_repr.reconnect st.repr ~pi ~jj ~kk ty;
+  if st.marked then
+    Tour_repr.reconnect_reversals ~n:(nn st) ~pi ~jj ~kk ty (record st);
+  st.dcost <- st.dcost - gain;
   st.moves_3opt <- st.moves_3opt + 1;
   st.version <- st.version + 1
 
@@ -182,8 +285,9 @@ let try_city st a =
             if gain > 0 then begin
               (* in forward reading, cuts are after a and after x;
                  in backward reading, after b' = pred a and after y *)
-              (if forward then apply_2opt st ~pa:(position st a) ~px:(position st x)
-               else apply_2opt st ~pa:(position st y) ~px:(position st b));
+              (if forward then
+                 apply_2opt st ~pa:(position st a) ~px:(position st x) ~gain
+               else apply_2opt st ~pa:(position st y) ~px:(position st b) ~gain);
               activate st a;
               activate st b;
               activate st x;
@@ -306,7 +410,7 @@ let try_city st a =
                      dab + d st x dd + d st y f - dax - dby - d st dd f
                    in
                    if gain > 0 then begin
-                     apply_3opt st ~pi ~jj ~kk T3;
+                     apply_3opt st ~pi ~jj ~kk ~gain T3;
                      List.iter (activate st) [ a; b; x; y; dd; f ];
                      found := true
                    end
@@ -325,7 +429,7 @@ let try_city st a =
                    let c = prx and f = sy in
                    let gain = dab + d st c x + d st y f - dax - dby - d st c f in
                    if gain > 0 then begin
-                     apply_3opt st ~pi ~jj ~kk T4;
+                     apply_3opt st ~pi ~jj ~kk ~gain T4;
                      List.iter (activate st) [ a; b; x; y; c; f ];
                      found := true
                    end
@@ -344,7 +448,7 @@ let try_city st a =
                    let c = prx and e = pry in
                    let gain = dab + d st c x + d st e y - dax - dby - d st e c in
                    if gain > 0 then begin
-                     apply_3opt st ~pi ~jj ~kk T5;
+                     apply_3opt st ~pi ~jj ~kk ~gain T5;
                      List.iter (activate st) [ a; b; x; y; c; e ];
                      found := true
                    end
@@ -363,7 +467,7 @@ let try_city st a =
                    let c = pry and f = sx in
                    let gain = dab + d st c y + d st x f - dax - dby - d st c f in
                    if gain > 0 then begin
-                     apply_3opt st ~pi ~jj ~kk T6;
+                     apply_3opt st ~pi ~jj ~kk ~gain T6;
                      List.iter (activate st) [ a; b; x; y; c; f ];
                      found := true
                    end
@@ -434,5 +538,10 @@ let run ?budget st =
 (** Current tour (copied). *)
 let tour st = Tour_repr.to_array st.repr
 
-(** Current symmetric tour cost. *)
-let cost st = Sym.tour_cost st.s (tour st)
+(** Current tour cost in directed units ({!Sym.directed_tour_cost});
+    O(1). *)
+let directed_cost st = st.dcost
+
+(** Current symmetric tour cost ([directed_cost − offset], identical
+    modulo 2⁶³ to {!Sym.tour_cost} of the tour); O(1). *)
+let cost st = st.dcost - st.s.Sym.offset

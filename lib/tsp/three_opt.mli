@@ -12,7 +12,13 @@
     city's scan is skipped only when the tour is bit-identical to the
     one its last scan failed against ([last_fail.(c) = version]), so
     bits-on and bits-off runs produce identical tours, costs, and move
-    counts — only [scans_skipped] differs. *)
+    counts — only [scans_skipped] differs.
+
+    The cost is tracked incrementally from move gains ([cost] is O(1)),
+    and between [mark] and [commit]/[rollback] every tour mutation is
+    journaled as range reversals, so a rejected kick is undone in
+    O(moves) reversals — O(moves·√n) on the two-level tour — with the
+    exact absolute positions restored. *)
 
 type state = {
   s : Sym.t;
@@ -31,6 +37,11 @@ type state = {
   mutable scr_ry1 : int array;
   mutable scr_sy : int array;
   mutable scr_pry : int array;
+  mutable dcost : int;  (** tour cost in directed units *)
+  mutable marked : bool;  (** a [mark] is open: mutations are journaled *)
+  mutable mark_cost : int;  (** [dcost] at the open mark *)
+  mutable journal : int array;  (** reversal / shift log since the mark *)
+  mutable jlen : int;  (** used prefix of [journal] *)
 }
 
 (** Start a search state from a tour (copied).  [dont_look] (default
@@ -49,9 +60,33 @@ val init :
   state
 
 (** Replace the tour wholesale (same cities, new order), bumping
-    [version] so stale stamps never suppress a needed rescan.
+    [version] so stale stamps never suppress a needed rescan; the cost
+    is recomputed and an open mark is discarded.
     @raise Invalid_argument on a wrong-length tour. *)
 val set_tour : state -> int array -> unit
+
+(** Open a journal: [rollback] returns to the current tour and cost.
+    Re-marking discards the previous journal. *)
+val mark : state -> unit
+
+(** Keep every mutation since [mark] and close the journal.
+    @raise Invalid_argument without an open mark. *)
+val commit : state -> unit
+
+(** Undo every mutation since [mark] by replaying the journal
+    backwards: the exact tour array (absolute positions included) and
+    cost come back, and [version] is bumped once, as by [set_tour].
+    @raise Invalid_argument without an open mark. *)
+val rollback : state -> unit
+
+(** [reverse st l r] reverses the cyclic position range [l..r]
+    (journaled; the cost follows the two changed edges). *)
+val reverse : state -> int -> int -> unit
+
+(** [shift st k] moves every city [k] positions back along the tour
+    (journaled); the cycle and its cost are unchanged.  O(1) on the
+    two-level tour. *)
+val shift : state -> int -> unit
 
 (** Mark a city for (re-)examination. *)
 val activate : state -> int -> unit
@@ -90,5 +125,11 @@ val segments : state -> int
 val seg_splits : state -> int
 val rebalances : state -> int
 
-(** Current symmetric tour cost. *)
+(** Current tour cost in directed units ({!Sym.directed_tour_cost}:
+    locked edges count 0), which cannot wrap where the directed cost
+    does not; O(1). *)
+val directed_cost : state -> int
+
+(** Current symmetric tour cost, [directed_cost − offset] (identical
+    modulo 2⁶³ to {!Sym.tour_cost} of the tour); O(1). *)
 val cost : state -> int

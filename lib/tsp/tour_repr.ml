@@ -231,28 +231,54 @@ let flat_reconnect f ~pi ~jj ~kk ty =
         flat_reverse f p1 pk
       end
 
+(** [reconnect_reversals ~n ~pi ~jj ~kk ty f] calls [f l r] for each
+    position-range reversal of the sequence that realizes the
+    reconnection, in order. *)
+let reconnect_reversals ~n ~pi ~jj ~kk ty f =
+  let pj = (pi + jj) mod n and pk = (pi + kk) mod n in
+  let p1 = (pi + 1) mod n and pj1 = (pj + 1) mod n in
+  match ty with
+  | T3 ->
+      f p1 pj;
+      f pj1 pk
+  | T4 ->
+      f p1 pj;
+      f pj1 pk;
+      f p1 pk
+  | T5 ->
+      f pj1 pk;
+      f p1 pk
+  | T6 ->
+      f p1 pj;
+      f p1 pk
+
 (** Apply a pure 3-opt reconnection with cuts after positions [pi],
     [pi+jj], [pi+kk] (see DESIGN.md §6 for the segment algebra). *)
 let reconnect r ~pi ~jj ~kk ty =
   match r with
   | F f -> flat_reconnect f ~pi ~jj ~kk ty
   | T t ->
-      let n = Two_level.n t in
-      let pj = (pi + jj) mod n and pk = (pi + kk) mod n in
-      let p1 = (pi + 1) mod n and pj1 = (pj + 1) mod n in
       (* the reversal sequences act on positions alone, so replaying
          them reproduces the flat window contents exactly *)
-      (match ty with
-      | T3 ->
-          Two_level.reverse t p1 pj;
-          Two_level.reverse t pj1 pk
-      | T4 ->
-          Two_level.reverse t p1 pj;
-          Two_level.reverse t pj1 pk;
-          Two_level.reverse t p1 pk
-      | T5 ->
-          Two_level.reverse t pj1 pk;
-          Two_level.reverse t p1 pk
-      | T6 ->
-          Two_level.reverse t p1 pj;
-          Two_level.reverse t p1 pk)
+      reconnect_reversals ~n:(Two_level.n t) ~pi ~jj ~kk ty
+        (Two_level.reverse t)
+
+(** [shift r k] moves every city [k] positions back along the tour
+    (position [p] → [p − k] mod n) without changing the cycle: O(1) on
+    the two-level structure (its rotation offset), an O(n) copy on the
+    flat arrays, which only serve small instances. *)
+let shift r k =
+  match r with
+  | F f ->
+      let n = Stdlib.Array.length f.ftour in
+      let k = ((k mod n) + n) mod n in
+      if k <> 0 then begin
+        let old = flat_scratch f n in
+        Stdlib.Array.blit f.ftour 0 old 0 n;
+        for p = 0 to n - 1 do
+          let c = old.(if p + k >= n then p + k - n else p + k) in
+          f.ftour.(p) <- c;
+          f.fpos.(c) <- p
+        done
+      end
+  | T t -> Two_level.shift t k

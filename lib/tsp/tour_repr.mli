@@ -67,6 +67,20 @@ type reconnection = T3 | T4 | T5 | T6
     reversal sequences at O(√n) each. *)
 val reconnect : t -> pi:int -> jj:int -> kk:int -> reconnection -> unit
 
+(** [reconnect_reversals ~n ~pi ~jj ~kk ty f] calls [f l r] for each
+    range reversal of the sequence that realizes the reconnection on
+    an [n]-city tour, in order — the sequence the two-level code
+    replays and the flat code is byte-identical to, so reversing it
+    backwards undoes the reconnection exactly. *)
+val reconnect_reversals :
+  n:int -> pi:int -> jj:int -> kk:int -> reconnection -> (int -> int -> unit) ->
+  unit
+
+(** [shift t k] moves every city [k] positions back along the tour
+    (position [p] → [p − k] mod n); the cycle is unchanged.  O(1)
+    two-level, O(n) flat. *)
+val shift : t -> int -> unit
+
 (** Structure statistics (1 / 0 / 0 on the flat arrays). *)
 val segments : t -> int
 

@@ -307,6 +307,13 @@ let reverse t l r =
       if t.nsegs > t.max_segs then rebalance t
     end
 
+(** [shift t k] moves every city [k] positions back along the tour
+    (the city at position [p] ends at [p − k] mod n): the cycle is
+    unchanged, only the rotation offset moves; O(1). *)
+let shift t k =
+  let r = (t.rot - k) mod t.n in
+  t.rot <- (if r < 0 then r + t.n else r)
+
 (** Replace the tour wholesale (rebuilds; O(n)). *)
 let set_tour t tour =
   if Array.length tour <> t.n then invalid_arg "Two_level.set_tour: wrong size";

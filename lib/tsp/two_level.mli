@@ -45,6 +45,11 @@ val pred : t -> int -> int
     (inclusive); O(√n) amortized. *)
 val reverse : t -> int -> int -> unit
 
+(** [shift t k] moves every city [k] positions back along the tour
+    (position [p] → [p − k] mod n); the cycle is unchanged.  O(1): it
+    only moves the rotation offset. *)
+val shift : t -> int -> unit
+
 (** Replace the tour wholesale (O(n) rebuild). *)
 val set_tour : t -> int array -> unit
 

@@ -2,7 +2,10 @@
     after an arbitrary interleaving of [activate]/[try_city]/[run] the
     state's internal invariants must hold — [pos] and [tour] stay
     inverse permutations, locked in/out pair edges are never cut, and
-    the work queue holds no duplicates and agrees with [in_queue]. *)
+    the work queue holds no duplicates and agrees with [in_queue].
+    The kick section pins the journaled rollback against the exact
+    tour it must restore and {!Ba_tsp.Iterated.solve} against the
+    copy-and-[set_tour] kick loop it replaced. *)
 
 open Ba_tsp
 module Budget = Ba_robust.Budget
@@ -27,13 +30,13 @@ let random_directed_tour rng n =
   t
 
 (** Fresh search state over a random tour of a random instance. *)
-let state_of_seed seed =
-  let d = dtsp_of_seed seed in
+let state_of_seed ?repr ?min_n seed =
+  let d = dtsp_of_seed ?min_n seed in
   let s = Sym.of_dtsp d in
   let rng = Random.State.make [| seed + 1 |] in
   let nbr = Neighbors.of_sym s ~k:8 in
   let tour = Sym.expand s (random_directed_tour rng d.Dtsp.n) in
-  (d, s, Three_opt.init s ~nbr ~tour)
+  (d, s, Three_opt.init ?repr s ~nbr ~tour)
 
 (** Drive the state through a random operation sequence. *)
 let churn seed (st : Three_opt.state) =
@@ -220,6 +223,218 @@ let prop_set_tour_invalidates =
       && locked_pairs_intact st
       && Three_opt.cost st = Sym.tour_cost s (Three_opt.tour st))
 
+(* ---------------- kicks: journaled rollback ---------------- *)
+
+let reprs = [ Tour_repr.Array; Tour_repr.Two_level ]
+
+(** Kick, re-descend, roll back: the exact tour array (absolute
+    positions included) and cost come back, and the version ends above
+    every stamp.  Three-city instances admit no three distinct cuts, so
+    their kicks degenerate; even seeds put a locked pair on the
+    wrap-around edge, which the kick must rotate away. *)
+let prop_rollback_restores =
+  QCheck2.Test.make ~count:200
+    ~name:"kick + run + rollback restores tour, cost, stamps (both reprs)"
+    gen_seed (fun seed ->
+      List.iter
+        (fun repr ->
+          let _, s, st = state_of_seed ~repr ~min_n:3 seed in
+          settle st;
+          let t = Three_opt.tour st in
+          let nn = Array.length t in
+          let wrap_locked = Sym.is_locked s t.(nn - 1) t.(0) in
+          if wrap_locked <> (seed land 1 = 0) then
+            Three_opt.set_tour st (Array.init nn (fun i -> t.((i + 1) mod nn)));
+          let rng = Random.State.make [| seed + 5 |] in
+          for kick = 1 to 6 do
+            let before = Three_opt.tour st in
+            let cost = Three_opt.cost st in
+            let dcost = Three_opt.directed_cost st in
+            Three_opt.mark st;
+            let touched = Iterated.double_bridge st rng in
+            if touched = [] && Three_opt.tour st <> before then
+              QCheck2.Test.fail_reportf "a degenerate kick moved the tour";
+            if s.Sym.n_cities = 3 && touched <> [] then
+              QCheck2.Test.fail_reportf "a three-city kick did not degenerate";
+            List.iter (Three_opt.activate st) touched;
+            Three_opt.run st;
+            if Three_opt.cost st <> Sym.tour_cost s (Three_opt.tour st) then
+              QCheck2.Test.fail_reportf "tracked cost drifted during the kick";
+            Three_opt.rollback st;
+            if Three_opt.tour st <> before then
+              QCheck2.Test.fail_reportf "rollback %d (%s) left a different tour"
+                kick (Tour_repr.kind_name repr);
+            if Three_opt.cost st <> cost || Three_opt.directed_cost st <> dcost
+            then QCheck2.Test.fail_reportf "rollback %d left a different cost" kick;
+            if
+              not
+                (Array.for_all
+                   (fun f -> f < st.Three_opt.version)
+                   st.Three_opt.last_fail)
+            then QCheck2.Test.fail_reportf "a stamp survived rollback %d" kick;
+            if not (inverse_permutations st) then
+              QCheck2.Test.fail_reportf "positions broken after rollback %d" kick
+          done;
+          if
+            Three_opt.directed_cost st
+            <> Sym.directed_tour_cost s (Three_opt.tour st)
+            || Three_opt.directed_cost st <> Three_opt.cost st + s.Sym.offset
+          then QCheck2.Test.fail_reportf "directed cost disagrees with a recount")
+        reprs;
+      true)
+
+(* The kick loop as it was before the journal, kept as the oracle: the
+   double bridge copies, rotates and rebuilds the tour through
+   [set_tour], the cost is re-summed after every kick, and a worsening
+   kick is undone by [set_tour] from a copy of the run's best tour. *)
+let oracle_double_bridge (st : Three_opt.state) rng =
+  let s = st.Three_opt.s in
+  let n = s.Sym.nn in
+  let t = Three_opt.tour st in
+  if Sym.is_locked s t.(n - 1) t.(0) then begin
+    let first = t.(0) in
+    Array.blit t 1 t 0 (n - 1);
+    t.(n - 1) <- first
+  end;
+  let ok p = not (Sym.is_locked s t.(p - 1) t.(p)) in
+  let rand_cut () =
+    let p = ref (1 + Random.State.int rng (n - 1)) in
+    while not (ok !p) do
+      p := 1 + ((!p + 1 - 1) mod (n - 1))
+    done;
+    !p
+  in
+  let p1 = ref (rand_cut ()) and p2 = ref (rand_cut ()) and p3 = ref (rand_cut ()) in
+  let attempts = ref 0 in
+  while (!p1 = !p2 || !p2 = !p3 || !p1 = !p3) && !attempts < 64 do
+    incr attempts;
+    p2 := rand_cut ();
+    p3 := rand_cut ()
+  done;
+  if !p1 = !p2 || !p2 = !p3 || !p1 = !p3 then []
+  else begin
+    let a = min !p1 (min !p2 !p3) and c = max !p1 (max !p2 !p3) in
+    let b = !p1 + !p2 + !p3 - a - c in
+    let t' =
+      Array.concat
+        [ Array.sub t 0 a; Array.sub t b (c - b); Array.sub t a (b - a);
+          Array.sub t c (n - c) ]
+    in
+    let touched =
+      [ t.(0); t.(n - 1); t.(a - 1); t.(a); t.(b - 1); t.(b); t.(c - 1); t.(c) ]
+    in
+    Three_opt.set_tour st t';
+    touched
+  end
+
+let accepted_kicks = ref 0
+let rejected_kicks = ref 0
+
+let oracle_solve (config : Iterated.config) (d : Dtsp.t) =
+  let n = d.Dtsp.n in
+  let rng = Random.State.make [| config.seed; n; Dtsp.max_cost d |] in
+  let s = Sym.of_dtsp d in
+  let nbr = Neighbors.of_sym s ~k:config.neighbors in
+  let kicks_per_run = min config.max_kicks (config.kick_factor * n) in
+  let best_tour = ref [||] and best_cost = ref max_int in
+  let runs_with_best = ref 0 and kicks = ref 0 in
+  let m2 = ref 0 and m3 = ref 0 and skipped = ref 0 in
+  let sym_cost st = Sym.tour_cost s (Three_opt.tour st) in
+  for run = 0 to config.runs - 1 do
+    let start =
+      if run = 0 then Construct.identity n
+      else if run land 1 = 1 then
+        Construct.greedy_edge ~rng ~skip_prob:config.greedy_skip d
+      else
+        Construct.nearest_neighbor ~rng ~choices:config.nn_choices d
+          ~start:(Random.State.int rng n)
+    in
+    let st =
+      Three_opt.init ~repr:config.tour_repr s ~nbr ~tour:(Sym.expand s start)
+    in
+    Three_opt.activate_all st;
+    Three_opt.run st;
+    let run_best = ref (Three_opt.tour st) in
+    let run_best_cost = ref (sym_cost st) in
+    for _ = 1 to kicks_per_run do
+      incr kicks;
+      List.iter (Three_opt.activate st) (oracle_double_bridge st rng);
+      Three_opt.run st;
+      let c = sym_cost st in
+      if c < !run_best_cost then begin
+        incr accepted_kicks;
+        run_best_cost := c;
+        run_best := Three_opt.tour st
+      end
+      else begin
+        incr rejected_kicks;
+        Three_opt.set_tour st !run_best
+      end
+    done;
+    m2 := !m2 + st.Three_opt.moves_2opt;
+    m3 := !m3 + st.Three_opt.moves_3opt;
+    skipped := !skipped + st.Three_opt.scans_skipped;
+    let directed = !run_best_cost + s.Sym.offset in
+    if directed < !best_cost then begin
+      best_cost := directed;
+      best_tour := Sym.extract s !run_best;
+      runs_with_best := 1
+    end
+    else if directed = !best_cost then incr runs_with_best
+  done;
+  ( !best_tour,
+    {
+      Iterated.best_cost = !best_cost;
+      runs_with_best = !runs_with_best;
+      kicks = !kicks;
+      moves_2opt = !m2;
+      moves_3opt = !m3;
+      scans_skipped = !skipped;
+      timed_out = false;
+    } )
+
+(** The journaled solver walks the oracle's trajectory exactly: best
+    tour, every stats field (moves and don't-look skips included), on
+    both representations. *)
+let prop_solve_matches_oracle =
+  QCheck2.Test.make ~count:60
+    ~name:"Iterated.solve = copy/set_tour kick-loop oracle (both reprs)"
+    gen_seed (fun seed ->
+      let d = dtsp_of_seed ~max_n:14 seed in
+      List.iter
+        (fun repr ->
+          let config =
+            { Iterated.default with runs = 3; max_kicks = 16; seed;
+              tour_repr = repr }
+          in
+          let tour, stats = Iterated.solve ~config d in
+          let otour, ostats = oracle_solve config d in
+          if tour <> otour then
+            QCheck2.Test.fail_reportf "best tours differ (%s)"
+              (Tour_repr.kind_name repr);
+          if stats <> ostats then
+            QCheck2.Test.fail_reportf
+              "stats differ (%s): cost %d/%d moves %d+%d/%d+%d skipped %d/%d"
+              (Tour_repr.kind_name repr) stats.Iterated.best_cost
+              ostats.Iterated.best_cost stats.Iterated.moves_2opt
+              stats.Iterated.moves_3opt ostats.Iterated.moves_2opt
+              ostats.Iterated.moves_3opt stats.Iterated.scans_skipped
+              ostats.Iterated.scans_skipped)
+        reprs;
+      true)
+
+(* the differential is only as strong as the kicks it sees: on seeds
+   like the property's, the oracle must both accept and reject *)
+let test_oracle_saw_both_outcomes () =
+  accepted_kicks := 0;
+  rejected_kicks := 0;
+  for seed = 0 to 9 do
+    let config = { Iterated.default with runs = 3; max_kicks = 16; seed } in
+    ignore (oracle_solve config (dtsp_of_seed ~max_n:14 seed))
+  done;
+  Alcotest.(check bool) "some kicks accepted" true (!accepted_kicks > 0);
+  Alcotest.(check bool) "some kicks rejected" true (!rejected_kicks > 0)
+
 let () =
   Alcotest.run "three-opt-prop"
     [
@@ -237,5 +452,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_bits_trajectory_exact;
           QCheck_alcotest.to_alcotest prop_converged_pass_all_skipped;
           QCheck_alcotest.to_alcotest prop_set_tour_invalidates;
+        ] );
+      ( "kicks",
+        [
+          QCheck_alcotest.to_alcotest prop_rollback_restores;
+          QCheck_alcotest.to_alcotest prop_solve_matches_oracle;
+          Alcotest.test_case "oracle saw accepts and rejects" `Quick
+            test_oracle_saw_both_outcomes;
         ] );
     ]

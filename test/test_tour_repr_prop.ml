@@ -142,6 +142,60 @@ let prop_reconnect_matches_reference =
       done;
       true)
 
+(* ---------------- shift interleaved with reverse ------------------- *)
+
+(* the city at position p moves to p − k *)
+let oracle_shift t k =
+  let n = Array.length t in
+  let old = Array.copy t in
+  Array.iteri (fun p _ -> t.(p) <- old.((((p + k) mod n) + n) mod n)) t
+
+let prop_shift_reverse_agree =
+  QCheck2.Test.make ~count:300
+    ~name:"shift interleaved with reverse agrees op-by-op (flat, two-level)"
+    gen_seed (fun seed ->
+      let rng = Random.State.make [| seed + 13 |] in
+      let n = 4 + Random.State.int rng 200 in
+      let oracle = random_tour rng n in
+      let flat = Tour_repr.make Tour_repr.Array ~n_cities:n oracle in
+      let two = Tour_repr.make Tour_repr.Two_level ~n_cities:n oracle in
+      for step = 1 to 60 do
+        (match Random.State.int rng 3 with
+        | 0 ->
+            (* mostly the kick's rotate-by-one and its inverse *)
+            let k =
+              match Random.State.int rng 3 with
+              | 0 -> 1
+              | 1 -> -1
+              | _ -> Random.State.int rng (2 * n) - n
+            in
+            oracle_shift oracle k;
+            Tour_repr.shift flat k;
+            Tour_repr.shift two k
+        | _ ->
+            let l = Random.State.int rng n and r = Random.State.int rng n in
+            oracle_reverse oracle l r;
+            Tour_repr.reverse flat l r;
+            Tour_repr.reverse two l r);
+        List.iter
+          (fun (name, repr) ->
+            if Tour_repr.to_array repr <> oracle then
+              QCheck2.Test.fail_reportf "%s diverged at step %d (n=%d)" name
+                step n;
+            let p = Random.State.int rng n in
+            let c = oracle.(p) in
+            if
+              Tour_repr.city_at repr p <> c
+              || Tour_repr.pos repr c <> p
+              || Tour_repr.succ repr c <> oracle.((p + 1) mod n)
+              || Tour_repr.pred repr c <> oracle.((p + n - 1) mod n)
+            then
+              QCheck2.Test.fail_reportf "%s queries diverged at step %d" name
+                step)
+          [ ("flat", flat); ("two-level", two) ]
+      done;
+      true)
+
 (* ---------------- full-trajectory identity across representations -- *)
 
 let dtsp_of_seed ?(min_n = 4) ?(max_n = 14) seed =
@@ -385,6 +439,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_two_level_matches_oracle;
           QCheck_alcotest.to_alcotest prop_reconnect_matches_reference;
+          QCheck_alcotest.to_alcotest prop_shift_reverse_agree;
         ] );
       ( "trajectory",
         [
