@@ -43,6 +43,8 @@ type error =
       (** the symmetric tour separates city's in/out pair *)
   | Cost_mismatch of { claimed : int; recomputed : int }
   | Bound_exceeds_cost of { bound : int; cost : int }
+  | Bound_unavailable of string
+      (** the Held–Karp bound could not be computed exactly *)
   | Unfaithful of string
       (** the realized layout changes the program's transfers *)
 
@@ -58,6 +60,7 @@ let pp_error ppf = function
   | Bound_exceeds_cost { bound; cost } ->
       Fmt.pf ppf "Held-Karp lower bound %d exceeds certified cost %d" bound
         cost
+  | Bound_unavailable m -> Fmt.pf ppf "Held-Karp bound unavailable: %s" m
   | Unfaithful m -> Fmt.pf ppf "layout not semantically faithful: %s" m
 
 let error_to_string e = Fmt.str "%a" pp_error e
@@ -345,18 +348,26 @@ let proc_cert ?claimed ?(hk = Skip) ?(sym_check = true) ~proc
                 | Ok sym_checked -> (
                     let hk_bound =
                       match hk with
-                      | Skip -> None
-                      | Given b -> Some b
-                      | Compute config ->
+                      | Skip -> Ok None
+                      | Given b -> Ok (Some b)
+                      | Compute config -> (
                           let d, _ = Lazy.force dtsp in
-                          Some
-                            (Held_karp.directed_bound ~config d
-                               ~upper_bound:cost)
+                          (* an instance beyond the float-exact range
+                             has no trustworthy bound: a failure, never
+                             a number *)
+                          match
+                            Held_karp.directed_bound ~config d
+                              ~upper_bound:cost
+                          with
+                          | b -> Ok (Some b)
+                          | exception Invalid_argument m ->
+                              Error (Bound_unavailable m))
                     in
                     match hk_bound with
-                    | Some b when b > cost ->
+                    | Error e -> fail e
+                    | Ok (Some b) when b > cost ->
                         fail (Bound_exceeds_cost { bound = b; cost })
-                    | _ ->
+                    | Ok hk_bound ->
                         Ok
                           {
                             proc;

@@ -14,6 +14,9 @@ type error =
   | Locked_pair_broken of { city : int }
   | Cost_mismatch of { claimed : int; recomputed : int }
   | Bound_exceeds_cost of { bound : int; cost : int }
+  | Bound_unavailable of string
+      (** [Compute] could not bound the instance exactly (magnitudes at
+          or above 2⁵², see {!Ba_tsp.Held_karp.bound}) *)
   | Unfaithful of string
 
 val pp_error : Format.formatter -> error -> unit

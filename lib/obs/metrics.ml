@@ -15,7 +15,8 @@
     - degradation: budget exhaustions, fallback transitions;
     - engine: tasks executed;
     - validation: lint diagnostics by severity, alignment certificates
-      checked and failed (the ba_check layer);
+      checked and failed (the ba_check layer), Held–Karp subgradient
+      iterations and bounds that stopped on the integral proof;
     and two gauges (candidate-list width, job count) plus the
     gap-to-Held–Karp distribution observed per procedure. *)
 
@@ -48,6 +49,8 @@ type counter =
   | Run_ns_two_level_repr  (** ns spent inside 3-Opt runs, two-level *)
   | Segment_splits  (** two-level segment boundary splits *)
   | Segment_rebalances  (** two-level O(n) rebuilds *)
+  | Held_karp_iterations  (** Held–Karp subgradient iterations run *)
+  | Held_karp_proved  (** bounds stopped by reaching the tour cost *)
 
 let all_counters =
   [
@@ -79,6 +82,8 @@ let all_counters =
     (Run_ns_two_level_repr, "solver.run_ns.two_level_repr");
     (Segment_splits, "solver.segment_splits");
     (Segment_rebalances, "solver.segment_rebalances");
+    (Held_karp_iterations, "held_karp.iterations");
+    (Held_karp_proved, "held_karp.proved");
   ]
 
 let counter_name c = List.assoc c all_counters
@@ -112,6 +117,8 @@ let counter_index = function
   | Run_ns_two_level_repr -> 25
   | Segment_splits -> 26
   | Segment_rebalances -> 27
+  | Held_karp_iterations -> 28
+  | Held_karp_proved -> 29
 
 let n_counters = List.length all_counters
 let counters : int Atomic.t array = Array.init n_counters (fun _ -> Atomic.make 0)

@@ -32,6 +32,8 @@ type counter =
   | Run_ns_two_level_repr
   | Segment_splits
   | Segment_rebalances
+  | Held_karp_iterations
+  | Held_karp_proved
 
 (** Every counter with its stable snapshot name, in catalogue order. *)
 val all_counters : (counter * string) list

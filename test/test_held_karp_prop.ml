@@ -1,0 +1,415 @@
+(** Differential suite for the Held–Karp bound ({!Ba_tsp.Held_karp}).
+
+    The shipped 1-tree is a fused, allocation-free Prim and the shipped
+    [directed_bound] stops once its rounded bound reaches the tour cost.
+    Both are pinned here against test-local copies of the textbook
+    two-pass Prim and the full ascent without that stop: the 1-tree's
+    weight must agree bit for bit and its degrees exactly, and every
+    integer bound must be the one the full ascent rounds to.  The last
+    section covers the float-exact guard and its certificate failure. *)
+
+open Ba_tsp
+module Metrics = Ba_obs.Metrics
+
+let gen_seed = QCheck2.Gen.int_bound 1_000_000
+
+(* ------------------------------------------------------------------ *)
+(* oracles: the two-pass Prim and the ascent without the integral stop *)
+
+let oracle_one_tree ~n (cost : int array) (pi : float array) =
+  let w u v = float_of_int cost.((u * n) + v) +. pi.(u) +. pi.(v) in
+  let deg = Array.make n 0 in
+  let in_tree = Array.make n false in
+  let best = Array.make n infinity and parent = Array.make n (-1) in
+  in_tree.(1) <- true;
+  for v = 2 to n - 1 do
+    best.(v) <- w 1 v;
+    parent.(v) <- 1
+  done;
+  let weight = ref 0.0 in
+  for _ = 2 to n - 1 do
+    let u = ref (-1) in
+    for v = 2 to n - 1 do
+      if (not in_tree.(v)) && (!u < 0 || best.(v) < best.(!u)) then u := v
+    done;
+    let u = !u in
+    in_tree.(u) <- true;
+    weight := !weight +. best.(u);
+    deg.(u) <- deg.(u) + 1;
+    deg.(parent.(u)) <- deg.(parent.(u)) + 1;
+    for v = 2 to n - 1 do
+      if (not in_tree.(v)) && w u v < best.(v) then begin
+        best.(v) <- w u v;
+        parent.(v) <- u
+      end
+    done
+  done;
+  let e1 = ref (-1) and e2 = ref (-1) in
+  for v = 1 to n - 1 do
+    if !e1 < 0 || w 0 v < w 0 !e1 then begin
+      e2 := !e1;
+      e1 := v
+    end
+    else if !e2 < 0 || w 0 v < w 0 !e2 then e2 := v
+  done;
+  weight := !weight +. w 0 !e1 +. w 0 !e2;
+  deg.(0) <- 2;
+  deg.(!e1) <- deg.(!e1) + 1;
+  deg.(!e2) <- deg.(!e2) + 1;
+  (!weight, deg)
+
+(** The full ascent.  Besides the bound it reports the iterations run
+    and the first iteration whose best bound [proves l] — the point
+    where the shipped ascent must stop. *)
+let oracle_bound ~(config : Held_karp.config) ~proves ~n (cost : int array)
+    ~upper_bound =
+  if n = 2 then (float_of_int (2 * cost.(1)), 0, None)
+  else if n = 3 then
+    (float_of_int (cost.(1) + cost.(n + 2) + cost.(2 * n)), 0, None)
+  else begin
+    let pi = Array.make n 0.0 in
+    let prev_grad = Array.make n 0.0 in
+    let best = ref neg_infinity in
+    let lambda = ref config.Held_karp.lambda0 in
+    let since_improve = ref 0 in
+    let iter = ref 0 in
+    let proof = ref None in
+    let continue = ref true in
+    while !continue && !iter < config.Held_karp.iterations do
+      incr iter;
+      let weight, deg = oracle_one_tree ~n cost pi in
+      let sum_pi = Array.fold_left ( +. ) 0.0 pi in
+      let l = weight -. (2.0 *. sum_pi) in
+      if l > !best then begin
+        best := l;
+        since_improve := 0;
+        if !proof = None && proves l then proof := Some !iter;
+        if l >= float_of_int upper_bound -. 1e-9 then continue := false
+      end
+      else begin
+        incr since_improve;
+        if !since_improve >= config.Held_karp.patience then begin
+          lambda := !lambda /. 2.0;
+          since_improve := 0
+        end
+      end;
+      let norm2 = ref 0.0 in
+      for v = 0 to n - 1 do
+        let g = float_of_int (deg.(v) - 2) in
+        norm2 := !norm2 +. (g *. g)
+      done;
+      if !norm2 = 0.0 then continue := false
+      else if !lambda < 1e-6 then continue := false
+      else begin
+        let gap = float_of_int upper_bound -. l in
+        let gap = if gap <= 0.0 then 1.0 else gap in
+        let t = !lambda *. gap /. !norm2 in
+        for v = 0 to n - 1 do
+          let g =
+            (0.7 *. float_of_int (deg.(v) - 2)) +. (0.3 *. prev_grad.(v))
+          in
+          prev_grad.(v) <- g;
+          pi.(v) <- pi.(v) +. (t *. g)
+        done
+      end
+    done;
+    (!best, !iter, !proof)
+  end
+
+(** [(bound, iterations, first proving iteration)] of the full ascent
+    on the directed instance, rounded the way [directed_bound] rounds. *)
+let oracle_directed ~config (d : Dtsp.t) ~upper_bound =
+  let s = Sym.of_dtsp d in
+  let round l =
+    int_of_float (Float.ceil (l +. float_of_int s.Sym.offset -. 1e-6))
+  in
+  let b, iters, proof =
+    oracle_bound ~config
+      ~proves:(fun l -> round l >= upper_bound)
+      ~n:s.Sym.nn (Sym.to_flat s)
+      ~upper_bound:(upper_bound - s.Sym.offset)
+  in
+  (round b, iters, proof)
+
+(* ------------------------------------------------------------------ *)
+(* the 1-tree                                                          *)
+
+(** Random symmetric matrix, n ∈ [4, 40], costs in [0, range] with a
+    small range so equal weights — and so Prim's tie-breaking — are
+    common; π is all zero, small multiples of ½ (ties survive the
+    modification) or arbitrary floats. *)
+let one_tree_case seed =
+  let rng = Random.State.make [| 0x1EE; seed |] in
+  let n = 4 + Random.State.int rng 37 in
+  let range = 1 + Random.State.int rng 6 in
+  let cost = Array.make (n * n) 0 in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      let c = Random.State.int rng (range + 1) in
+      cost.((u * n) + v) <- c;
+      cost.((v * n) + u) <- c
+    done
+  done;
+  let pi =
+    match seed mod 3 with
+    | 0 -> Array.make n 0.0
+    | 1 -> Array.init n (fun _ -> 0.5 *. float_of_int (Random.State.int rng 5 - 2))
+    | _ -> Array.init n (fun _ -> Random.State.float rng 10.0 -. 5.0)
+  in
+  (n, cost, pi)
+
+let prop_one_tree_matches_two_pass_prim =
+  QCheck2.Test.make ~count:400
+    ~name:"fused 1-tree = two-pass Prim (weight bits, degrees)" gen_seed
+    (fun seed ->
+      let n, cost, pi = one_tree_case seed in
+      let w, deg = Held_karp.one_tree ~n cost pi in
+      let w', deg' = oracle_one_tree ~n cost pi in
+      Int64.equal (Int64.bits_of_float w) (Int64.bits_of_float w')
+      && deg = deg')
+
+(** The oracle's 1-tree also drives a long π sequence: run the real
+    ascent's π updates through both trees and compare at every step. *)
+let prop_one_tree_along_ascent =
+  QCheck2.Test.make ~count:60 ~name:"1-tree agrees along a subgradient walk"
+    gen_seed (fun seed ->
+      let n, cost, _ = one_tree_case seed in
+      let pi = Array.make n 0.0 in
+      let ok = ref true in
+      for step = 1 to 40 do
+        let w, deg = Held_karp.one_tree ~n cost pi in
+        let w', deg' = oracle_one_tree ~n cost pi in
+        if Int64.bits_of_float w <> Int64.bits_of_float w' || deg <> deg' then
+          ok := false;
+        let t = 1.0 /. float_of_int step in
+        Array.iteri
+          (fun v d -> pi.(v) <- pi.(v) +. (t *. float_of_int (d - 2)))
+          deg'
+      done;
+      !ok)
+
+let test_one_tree_rejects_bad_sizes () =
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool)
+    "n < 3" true
+    (raises (fun () -> Held_karp.one_tree ~n:2 [| 0; 1; 1; 0 |] [| 0.; 0. |]));
+  Alcotest.(check bool)
+    "cost not n×n" true
+    (raises (fun () -> Held_karp.one_tree ~n:4 (Array.make 15 1) (Array.make 4 0.)));
+  Alcotest.(check bool)
+    "π not length n" true
+    (raises (fun () -> Held_karp.one_tree ~n:4 (Array.make 16 1) (Array.make 3 0.)))
+
+(* ------------------------------------------------------------------ *)
+(* the bound                                                           *)
+
+(** Random directed instance, n ∈ [2, 12], costs in [0, 100). *)
+let dtsp_of_seed seed =
+  let rng = Random.State.make [| 0xB0B; seed |] in
+  let n = 2 + Random.State.int rng 11 in
+  Dtsp.make
+    (Array.init n (fun i ->
+         Array.init n (fun j -> if i = j then 0 else Random.State.int rng 100)))
+
+(** A branch-alignment instance: the reduction of a random CFG. *)
+let reduction_of_seed seed =
+  let rng = Random.State.make [| 0xA11; seed |] in
+  let g = Ba_testutil.Gen.cfg rng ~n:(2 + Random.State.int rng 11) in
+  let prof = Ba_testutil.Gen.profile_of ~seed g ~invocations:10 ~max_steps:40 in
+  (Ba_align.Reduction.build Ba_machine.Model.alpha21164 g
+     ~profile:(Ba_profile.Profile.proc prof 0))
+    .Ba_align.Reduction.dtsp
+
+(* [default] and the light configs of the property suite *)
+let configs =
+  [
+    ("default", Held_karp.default);
+    ("light-400", { Held_karp.iterations = 400; lambda0 = 2.0; patience = 40 });
+    ("light-2000", { Held_karp.iterations = 2_000; lambda0 = 2.0; patience = 60 });
+  ]
+
+(** Tight (the solver's tour) and loose (the identity tour) upper
+    bounds: the first usually ends in the proof, the second never. *)
+let upper_bounds d =
+  let _, stats = Iterated.solve d in
+  [ stats.Iterated.best_cost; Dtsp.tour_cost d (Construct.identity d.Dtsp.n) ]
+
+let check_against_oracle d =
+  List.for_all
+    (fun (name, config) ->
+      List.for_all
+        (fun upper_bound ->
+          let it0 = Metrics.get Metrics.Held_karp_iterations in
+          let pr0 = Metrics.get Metrics.Held_karp_proved in
+          let b = Held_karp.directed_bound ~config d ~upper_bound in
+          let iters = Metrics.get Metrics.Held_karp_iterations - it0 in
+          let proved = Metrics.get Metrics.Held_karp_proved - pr0 in
+          let b', oracle_iters, proof = oracle_directed ~config d ~upper_bound in
+          let want_iters, want_proved =
+            match proof with Some i -> (i, 1) | None -> (oracle_iters, 0)
+          in
+          if b <> b' || iters <> want_iters || proved <> want_proved then
+            QCheck2.Test.fail_reportf
+              "%s, n=%d, upper %d: bound %d (oracle %d), %d iterations \
+               (expected %d), proved %d (expected %d)"
+              name d.Dtsp.n upper_bound b b' iters want_iters proved
+              want_proved
+          else true)
+        (upper_bounds d))
+    configs
+
+let prop_bound_matches_full_ascent =
+  QCheck2.Test.make ~count:60
+    ~name:"directed_bound = full ascent (random DTSP), iterations cut at the proof"
+    gen_seed (fun seed -> check_against_oracle (dtsp_of_seed seed))
+
+let prop_bound_matches_full_ascent_reduction =
+  QCheck2.Test.make ~count:40
+    ~name:"directed_bound = full ascent (branch-alignment instances)" gen_seed
+    (fun seed -> check_against_oracle (reduction_of_seed seed))
+
+let prop_bound_below_optimum =
+  QCheck2.Test.make ~count:60 ~name:"directed_bound <= exact optimum (n <= 12)"
+    gen_seed (fun seed ->
+      let d = dtsp_of_seed seed in
+      let opt = Exact.optimal_cost d in
+      List.for_all
+        (fun (_, config) ->
+          List.for_all
+            (fun ub -> Held_karp.directed_bound ~config d ~upper_bound:ub <= opt)
+            (opt :: upper_bounds d))
+        configs)
+
+(** The proof must actually fire: across a fixed sample some bounds
+    reach the tour cost and stop early, and some do not. *)
+let test_proof_fires () =
+  let proved = ref 0 and unproved = ref 0 in
+  for seed = 0 to 39 do
+    let d = dtsp_of_seed seed in
+    let _, stats = Iterated.solve d in
+    let p0 = Metrics.get Metrics.Held_karp_proved in
+    ignore (Held_karp.directed_bound d ~upper_bound:stats.Iterated.best_cost);
+    if Metrics.get Metrics.Held_karp_proved > p0 then incr proved
+    else incr unproved
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d bounds proved" !proved) true (!proved > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d bounds unproved" !unproved)
+    true (!unproved > 0)
+
+(* ------------------------------------------------------------------ *)
+(* the float-exact guard                                               *)
+
+let big = 1 lsl 50
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_guard_rejects_huge_instances () =
+  (* directed costs of 2⁵⁰ put the forbidden-pair weight (≈ 24× the
+     largest cost) far above 2⁵² *)
+  let d =
+    Dtsp.make
+      (Array.init 5 (fun i -> Array.init 5 (fun j -> if i = j then 0 else big + i + j)))
+  in
+  Alcotest.(check bool)
+    "directed_bound raises" true
+    (raises_invalid (fun () -> Held_karp.directed_bound d ~upper_bound:(5 * big)));
+  Alcotest.(check bool)
+    "upper bound beyond 2^52 raises" true
+    (raises_invalid (fun () ->
+         Held_karp.directed_bound (dtsp_of_seed 1) ~upper_bound:(1 lsl 53)));
+  Alcotest.(check bool)
+    "bound raises on a huge symmetric matrix" true
+    (raises_invalid (fun () ->
+         Held_karp.bound ~n:4 (Array.make 16 (1 lsl 52)) ~upper_bound:0));
+  (* small costs pass the static check, but a loose upper bound just
+     under 2⁵² makes the Polyak steps — and so π and the modified
+     weights — that large; city 1 is a free hub, so the 1-tree never
+     becomes a tour that would end the ascent first *)
+  let n = 6 in
+  let cost =
+    Array.init (n * n) (fun k ->
+        let u = k / n and v = k mod n in
+        if u = v || u = 1 || v = 1 then 0 else 10)
+  in
+  Alcotest.(check bool)
+    "π growth past 2^52 raises" true
+    (raises_invalid (fun () ->
+         Held_karp.bound ~n cost ~upper_bound:((1 lsl 52) - 1)));
+  (* paper-scale magnitudes (~10⁸) stay well inside *)
+  let d =
+    Dtsp.make
+      (Array.init 6 (fun i ->
+           Array.init 6 (fun j -> if i = j then 0 else 100_000_000 * (1 + ((i + j) mod 3)))))
+  in
+  let _, stats = Iterated.solve d in
+  Alcotest.(check bool)
+    "10^8 costs bound normally" true
+    (Held_karp.directed_bound d ~upper_bound:stats.Iterated.best_cost
+     <= stats.Iterated.best_cost)
+
+(** A procedure whose profile counts reach 2⁵⁰: [Compute] must fail the
+    certificate rather than report a bound; [Skip] still certifies. *)
+let test_certify_reports_unavailable_bound () =
+  let open Ba_cfg in
+  let g =
+    Cfg.make ~name:"huge" ~entry:0
+      [|
+        Block.make ~id:0 ~size:2 (Block.Branch { t = 2; f = 1 });
+        Block.make ~id:1 ~size:2 (Block.Goto 2);
+        Block.make ~id:2 ~size:1 Block.Exit;
+      |]
+  in
+  let profile =
+    { Ba_profile.Profile.freqs = [| [| (1, big); (2, big) |]; [| (2, big) |]; [||] |] }
+  in
+  let m = Ba_machine.Model.alpha21164 in
+  let order = [| 0; 1; 2 |] in
+  let certify hk = Ba_check.Certify.proc_cert ~hk ~proc:0 m g ~profile ~order in
+  (match certify Ba_check.Certify.Skip with
+  | Ok _ -> ()
+  | Error e ->
+      Alcotest.failf "Skip should certify: %s" (Ba_check.Certify.error_to_string e));
+  let failed0 = Metrics.get Metrics.Certs_failed in
+  match certify (Ba_check.Certify.Compute Held_karp.default) with
+  | Error (Ba_check.Certify.Bound_unavailable _) ->
+      Alcotest.(check int)
+        "counted as a failed certificate" (failed0 + 1)
+        (Metrics.get Metrics.Certs_failed)
+  | Error e ->
+      Alcotest.failf "wrong failure: %s" (Ba_check.Certify.error_to_string e)
+  | Ok c ->
+      Alcotest.failf "certified with bound %s"
+        (match c.Ba_check.Certify.hk_bound with
+        | Some b -> string_of_int b
+        | None -> "none")
+
+let () =
+  Alcotest.run "held-karp-prop"
+    [
+      ( "one-tree",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_one_tree_matches_two_pass_prim; prop_one_tree_along_ascent ]
+        @ [
+            Alcotest.test_case "rejects bad sizes" `Quick
+              test_one_tree_rejects_bad_sizes;
+          ] );
+      ( "bound",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_bound_matches_full_ascent;
+            prop_bound_matches_full_ascent_reduction;
+            prop_bound_below_optimum;
+          ]
+        @ [ Alcotest.test_case "integral proof fires" `Quick test_proof_fires ] );
+      ( "float-guard",
+        [
+          Alcotest.test_case "huge instances raise" `Quick
+            test_guard_rejects_huge_instances;
+          Alcotest.test_case "Compute fails the certificate" `Quick
+            test_certify_reports_unavailable_bound;
+        ] );
+    ]
