@@ -5,7 +5,7 @@ BALIGN = $(DUNE) exec --no-print-directory bin/balign.exe --
 BENCH = $(DUNE) exec --no-print-directory bench/main.exe --
 
 .PHONY: all build test check check-par smoke lint analyze report \
-  bench-json bench-solver serve-soak clean
+  bench-json serve-soak clean
 
 all: build
 
@@ -17,9 +17,11 @@ test:
 
 # Full verification: build, the whole test suite (including the
 # fault-injection and robustness suites), a CLI smoke test of the
-# documented exit codes, and the static-analysis gate on the
-# committed examples.
+# documented exit codes, the static-analysis gate on the committed
+# examples, and the single-clock rule: every duration and deadline
+# reads Ba_obs.Mono, so gettimeofday may not appear in the sources.
 check: build test smoke lint
+	@! grep -rn gettimeofday lib bin bench || { echo "check FAIL: gettimeofday outside Ba_obs.Mono"; exit 1; }
 
 # The smoke test drives the built binary through the failure paths that
 # docs/ROBUSTNESS.md documents and checks the exit codes line up.
@@ -85,37 +87,6 @@ check-par: build test
 	mask $$tmp/bmax.json > $$tmp/bmax.masked; \
 	diff -u $$tmp/b1.masked $$tmp/bmax.masked \
 	  || { echo "check-par FAIL: bench --json differs across job counts"; exit 1; }; \
-	echo "check-par: solver_bench neighbor lists at --jobs 1 vs $$j..."; \
-	$(DUNE) exec --no-print-directory bench/solver_bench.exe -- \
-	  --sizes 64,700 --kicks 32 --certify --jobs 1 \
-	  --json $$tmp/sb1.json 2>/dev/null; \
-	$(DUNE) exec --no-print-directory bench/solver_bench.exe -- \
-	  --sizes 64,700 --kicks 32 --certify --jobs $$j \
-	  --json $$tmp/sbmax.json 2>/dev/null; \
-	smask() { sed -E \
-	  -e 's/"(build_s|build_words|sym_s|nbr_s|opt_s|cert_s|moves_per_s|move_cost_p50|move_cost_p95)":[0-9.eE+-]+/"\1":X/g' \
-	  -e 's/"date":"[^"]*"/"date":X/' -e 's/"jobs":[0-9]+/"jobs":X/' "$$1"; }; \
-	smask $$tmp/sb1.json > $$tmp/sb1.masked; \
-	smask $$tmp/sbmax.json > $$tmp/sbmax.masked; \
-	diff -u $$tmp/sb1.masked $$tmp/sbmax.masked \
-	  || { echo "check-par FAIL: pooled neighbor lists differ from sequential"; exit 1; }; \
-	echo "check-par: solver_bench --repr two-level at --jobs 1 vs $$j..."; \
-	$(DUNE) exec --no-print-directory bench/solver_bench.exe -- \
-	  --sizes 64,700 --kicks 32 --certify --repr two-level --jobs 1 \
-	  --json $$tmp/tl1.json 2>/dev/null; \
-	$(DUNE) exec --no-print-directory bench/solver_bench.exe -- \
-	  --sizes 64,700 --kicks 32 --certify --repr two-level --jobs $$j \
-	  --json $$tmp/tlmax.json 2>/dev/null; \
-	smask $$tmp/tl1.json > $$tmp/tl1.masked; \
-	smask $$tmp/tlmax.json > $$tmp/tlmax.masked; \
-	diff -u $$tmp/tl1.masked $$tmp/tlmax.masked \
-	  || { echo "check-par FAIL: pooled two-level trajectory differs from sequential"; exit 1; }; \
-	rmask() { sed -E -e 's/"repr":"[^"]*"/"repr":X/g' \
-	  -e 's/"(seg_splits|rebalances)":[0-9]+/"\1":X/g' "$$1"; }; \
-	rmask $$tmp/sb1.masked > $$tmp/sb1.rmasked; \
-	rmask $$tmp/tl1.masked > $$tmp/tl1.rmasked; \
-	diff -u $$tmp/sb1.rmasked $$tmp/tl1.rmasked \
-	  || { echo "check-par FAIL: two-level trajectory differs from the flat arrays"; exit 1; }; \
 	sed -n 's/^/  /p' $$tmp/err.1 $$tmp/err.max | grep wall-clock || true; \
 	awk -v a=$$((e1-s1)) -v b=$$((e2-s2)) 'BEGIN { \
 	  printf "check-par ok: output identical; wall-clock %.1fs -> %.1fs (speedup x%.2f)\n", \
@@ -176,37 +147,6 @@ bench-json: build
 	$(BALIGN) bench com --json BENCH.json --jobs 2 > /dev/null
 	$(DUNE) exec --no-print-directory test/tools/check_trace.exe -- --bench BENCH.json
 	@echo "bench-json ok: BENCH.json written"
-
-# Solver-core throughput microbenchmark (docs/PERFORMANCE.md): instance
-# build, symmetrization, neighbor lists and 3-Opt moves/sec across
-# sizes, written as a machine-readable JSON document and validated
-# structurally.  Every layout is re-verified by the independent
-# certifier (--certify), and a second document covers one 10⁵-block
-# synthetic jump-table workload end to end.  The committed trajectory
-# (dense baseline → sparse core → heap-select, plus the scale-* rows)
-# lives in results/solver_bench.json.
-bench-solver: build
-	$(DUNE) exec --no-print-directory bench/solver_bench.exe -- \
-	  --certify --json SOLVER_BENCH.json
-	$(DUNE) exec --no-print-directory test/tools/check_trace.exe -- \
-	  --solver-bench SOLVER_BENCH.json
-	$(DUNE) exec --no-print-directory bench/solver_bench.exe -- \
-	  --repr two-level --certify --json SOLVER_BENCH_TWOLEVEL.json
-	$(DUNE) exec --no-print-directory test/tools/check_trace.exe -- \
-	  --solver-bench SOLVER_BENCH_TWOLEVEL.json
-	@# hard gate: the two representations must walk the same trajectory
-	@jq '.entries | map({n_blocks, moves, scans_skipped, best_cost, tour_hash})' \
-	  SOLVER_BENCH.json > /tmp/sb_traj_array.json
-	@jq '.entries | map({n_blocks, moves, scans_skipped, best_cost, tour_hash})' \
-	  SOLVER_BENCH_TWOLEVEL.json > /tmp/sb_traj_twolevel.json
-	@diff -u /tmp/sb_traj_array.json /tmp/sb_traj_twolevel.json \
-	  && echo "bench-solver ok: array and two-level trajectories identical"
-	$(DUNE) exec --no-print-directory bench/solver_bench.exe -- \
-	  --family switch --sizes 100000 --kicks 8 --certify \
-	  --variant scale-switch --json SOLVER_BENCH_SCALE.json
-	$(DUNE) exec --no-print-directory test/tools/check_trace.exe -- \
-	  --solver-bench SOLVER_BENCH_SCALE.json
-	@echo "bench-solver ok: SOLVER_BENCH.json + SOLVER_BENCH_TWOLEVEL.json + SOLVER_BENCH_SCALE.json written"
 
 # Daemon robustness gate (docs/SERVING.md): replay 1000 mixed
 # good/faulty requests at an in-process `balign serve` loop, re-certify

@@ -63,10 +63,6 @@ val dtsp_of :
   profile:Ba_profile.Profile.proc ->
   Ba_tsp.Dtsp.t * int
 
-(** Largest procedure certified against the dense independently built
-    matrix; above it the certifier switches to {!dtsp_of_sparse}. *)
-val dense_instance_threshold : int
-
 (** The same logical instance as {!dtsp_of}, built sparsely in O(n + E):
     a non-successor layout successor costs exactly like [None] under
     every objective, so rows deviate from that default only at the CFG

@@ -8,7 +8,7 @@
     - its own {!Random.State}, derived from the pipeline seed and the
       task id only (never from scheduling), so randomized stages make
       the same draws no matter which domain runs them or in what order;
-    - a stage clock that accumulates wall-clock seconds into a
+    - a stage clock that accumulates {!Ba_obs.Mono} seconds into a
       {e task-local} record, returned in the task's {!outcome} — tasks
       never write shared timing state, the caller merges after the
       join.
@@ -62,14 +62,14 @@ let stage_name = function
   | Realize -> "realize"
   | Verify -> "verify"
 
-(** [staged ctx stage f] runs [f ()] charging its wall-clock time to
+(** [staged ctx stage f] runs [f ()] charging its elapsed Mono time to
     [stage] in the task-local record, and — when tracing is enabled —
     recording one span named after the stage. *)
 let staged ctx stage f =
   Ba_obs.Span.with_span ctx.span_buf (stage_name stage) (fun () ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Ba_obs.Mono.now_ns () in
       let finally () =
-        let dt = Unix.gettimeofday () -. t0 in
+        let dt = Ba_obs.Mono.since_s t0 in
         ctx.acc <-
           (match stage with
           | Build -> { ctx.acc with build_s = ctx.acc.build_s +. dt }
@@ -114,7 +114,7 @@ type 'a outcome = {
   label : string;
   value : 'a;
   stages : stages;  (** per-task stage seconds (task-local, merged after join) *)
-  elapsed_s : float;  (** total wall-clock of the task *)
+  elapsed_s : float;  (** total elapsed seconds of the task (Mono clock) *)
   spans : Ba_obs.Span.span array;
       (** the task's completed spans (empty unless tracing is on) *)
 }
@@ -127,14 +127,14 @@ let run_one ~seed (t : 'a t) : 'a outcome =
     Ba_obs.Span.create ~task:t.id ~enabled:(Ba_obs.Trace.enabled ())
   in
   let ctx = { rng = seed_rng ~seed ~id:t.id; acc = no_stages; span_buf } in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ba_obs.Mono.now_ns () in
   let value = Ba_obs.Span.with_span span_buf "task" (fun () -> t.run ctx) in
   {
     id = t.id;
     label = t.label;
     value;
     stages = ctx.acc;
-    elapsed_s = Unix.gettimeofday () -. t0;
+    elapsed_s = Ba_obs.Mono.since_s t0;
     spans = Ba_obs.Span.spans span_buf;
   }
 

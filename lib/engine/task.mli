@@ -32,7 +32,7 @@ val rng : ctx -> Random.State.t
     finer-grained spans into it. *)
 val spans : ctx -> Ba_obs.Span.buf
 
-(** [staged ctx stage f] runs [f ()], charging its wall-clock time to
+(** [staged ctx stage f] runs [f ()], charging its elapsed Mono time to
     [stage] in the task-local record (and recording a stage span when
     tracing is enabled). *)
 val staged : ctx -> stage -> (unit -> 'a) -> 'a

@@ -1,4 +1,4 @@
-(** Wall-clock stage timing for the Table 2 reproduction.
+(** Stage timing for the Table 2 reproduction.
 
     [stages] is immutable: every pipeline stage produces its own value
     and the caller combines them with the pure {!add}/{!merge} — there
@@ -6,11 +6,12 @@
     produced by a parallel runner carry exactly the timings of their
     own stages (merged after the join). *)
 
-(** [time f] runs [f ()] and returns its result with elapsed seconds. *)
+(** [time f] runs [f ()] and returns its result with the seconds it
+    took on the {!Ba_obs.Mono} clock. *)
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ba_obs.Mono.now_ns () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, Ba_obs.Mono.since_s t0)
 
 (** Stage timings of one benchmark compilation+alignment pipeline,
     mirroring the paper's Table 2 columns (see EXPERIMENTS.md for the

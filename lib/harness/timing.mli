@@ -1,9 +1,10 @@
-(** Wall-clock stage timing for the Table 2 reproduction.  [stages] is
+(** Stage timing for the Table 2 reproduction.  [stages] is
     immutable; tasks return their own values and the caller combines
     them with the pure {!add}/{!merge} after the join — nothing for
     concurrent pipeline stages to race on. *)
 
-(** Run a thunk, returning its result and elapsed seconds. *)
+(** Run a thunk, returning its result and elapsed seconds on the
+    {!Ba_obs.Mono} clock. *)
 val time : (unit -> 'a) -> 'a * float
 
 (** Stage timings of one benchmark pipeline (Table 2 columns). *)

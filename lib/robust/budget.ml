@@ -1,4 +1,4 @@
-(** Solver budgets: a wall-clock deadline and/or a move allowance.
+(** Solver budgets: a monotonic-clock deadline and/or a move allowance.
 
     A budget is created once per solve (or shared by a whole program's
     worth of solves) and threaded down into the inner local-search loops,
@@ -7,16 +7,18 @@
     the solver stops at the next poll and returns its best tour so far,
     flagging the result as degraded.
 
-    [gettimeofday] is a vDSO call on every platform we target, so
-    {!exhausted} polls the clock directly rather than amortizing; move
-    spending is a single [Atomic.fetch_and_add], allocation-free.
+    The clock is {!Ba_obs.Mono}: {!exhausted} polls it directly through
+    {!Ba_obs.Mono.reached}, an allocation-free [CLOCK_MONOTONIC] read,
+    rather than amortizing, and a wall-clock step can neither fire nor
+    hide a deadline; move spending is a single [Atomic.fetch_and_add],
+    allocation-free.
 
     {2 Shared-budget semantics under concurrent solves}
 
     One budget may be polled by several domains solving different
     procedures at once (the executor pool).  The semantics are:
 
-    - the deadline is an {e absolute} wall-clock instant, shared by all
+    - the deadline is an {e absolute} monotonic instant, shared by all
       domains: every concurrent solve observes exhaustion at the same
       moment, regardless of which domain it runs on;
     - the move counter is the {e global} total across all concurrent
@@ -41,20 +43,31 @@
     the two-deadline independence is pinned by the robustness suite
     (test_robust: "per-request budgets"). *)
 
+module Mono = Ba_obs.Mono
+
 type t = {
-  started : float;  (** creation time, for elapsed-time reporting *)
-  deadline : float option;  (** absolute wall-clock limit *)
+  started : int64;  (** creation instant (Mono ns), for elapsed-time reporting *)
+  deadline : int64 option;  (** absolute monotonic limit (Mono ns) *)
   deadline_ms : int option;  (** the relative limit, for reporting *)
   max_moves : int option;
   moves : int Atomic.t;  (** global across every domain polling this budget *)
 }
 
+(* [started + ms] in Mono ns, saturating at [Int64.max_int]: a request
+   too far out to represent (≈ 9.2e12 ms) is a deadline that never
+   fires, not one that wraps into the past.  Negative [ms] is an
+   instant deadline. *)
+let deadline_after started ms =
+  let ms = Int64.of_int (max 0 ms) in
+  if Int64.compare ms (Int64.div (Int64.sub Int64.max_int started) 1_000_000L) >= 0
+  then Int64.max_int
+  else Int64.add started (Int64.mul ms 1_000_000L)
+
 let create ?deadline_ms ?max_moves () =
-  let started = Unix.gettimeofday () in
+  let started = Mono.now_ns () in
   {
     started;
-    deadline =
-      Option.map (fun ms -> started +. (float_of_int ms /. 1000.)) deadline_ms;
+    deadline = Option.map (deadline_after started) deadline_ms;
     deadline_ms;
     max_moves;
     moves = Atomic.make 0;
@@ -73,17 +86,18 @@ let exhausted b =
   (match b.max_moves with Some m -> Atomic.get b.moves >= m | None -> false)
   ||
   match b.deadline with
-  | Some d -> Unix.gettimeofday () >= d
+  | Some d -> Mono.reached d
   | None -> false
 
 (** Milliseconds since the budget was created. *)
-let elapsed_ms b = (Unix.gettimeofday () -. b.started) *. 1000.
+let elapsed_ms b = Mono.since_s b.started *. 1000.
 
-(** [remaining_ms b] is the wall-clock milliseconds left before the
-    deadline (clamped at 0), or [None] for a deadline-free budget. *)
+(** [remaining_ms b] is the milliseconds left before the deadline
+    (clamped at 0), or [None] for a deadline-free budget. *)
 let remaining_ms b =
   Option.map
-    (fun d -> Float.max 0. ((d -. Unix.gettimeofday ()) *. 1000.))
+    (fun d ->
+      Float.max 0. (Int64.to_float (Int64.sub d (Mono.now_ns ())) /. 1e6))
     b.deadline
 
 (** [clamp_deadline ?cap requested] maps a client-requested deadline to

@@ -1,10 +1,10 @@
-(** Solver budgets: a wall-clock deadline and/or a move allowance,
+(** Solver budgets: a monotonic-clock deadline and/or a move allowance,
     threaded into the local-search loops.  Exhaustion never aborts a
     solve — the solver stops at the next poll and returns its best tour
     so far, flagged as degraded.
 
     Budgets are domain-safe and may be shared by concurrent solves: the
-    deadline is one absolute wall-clock instant observed by every
+    deadline is one absolute {!Ba_obs.Mono} instant observed by every
     domain, and the move counter is the global total across all of them
     (atomic increments; [max_moves] bounds the combined work).  Which
     solve observes exhaustion first under concurrency depends on
@@ -20,8 +20,9 @@
 type t
 
 (** [create ?deadline_ms ?max_moves ()] starts the clock now.  With no
-    limits the budget never exhausts; [deadline_ms = 0] is exhausted
-    immediately. *)
+    limits the budget never exhausts; [deadline_ms <= 0] is exhausted
+    immediately, and a deadline too far out to represent in monotonic
+    nanoseconds (about 9.2e12 ms) saturates and never fires. *)
 val create : ?deadline_ms:int -> ?max_moves:int -> unit -> t
 
 (** A fresh budget with no limits. *)
@@ -37,7 +38,7 @@ val exhausted : t -> bool
 (** Milliseconds since the budget was created. *)
 val elapsed_ms : t -> float
 
-(** Wall-clock milliseconds left before the deadline (clamped at 0), or
+(** Milliseconds left before the deadline (clamped at 0), or
     [None] for a deadline-free budget. *)
 val remaining_ms : t -> float option
 

@@ -251,12 +251,12 @@ let serve config ~drain ~in_fd ~out_fd : stop_reason =
   let handle_frame payload : [ `Continue | `Shutdown | `Client_gone ] =
     Metrics.set_gauge Metrics.Serve_in_flight 1;
     Metrics.incr Metrics.Serve_requests;
-    let t0 = Unix.gettimeofday () in
+    let t0 = Ba_obs.Mono.now_ns () in
     Fun.protect
       ~finally:(fun () ->
         (* observed on every path, including the ones that end the
            conversation — the gauge must never stick at 1 *)
-        Metrics.observe_latency_ms ((Unix.gettimeofday () -. t0) *. 1000.);
+        Metrics.observe_latency_ms (Ba_obs.Mono.since_s t0 *. 1000.);
         Metrics.set_gauge Metrics.Serve_in_flight 0)
       (fun () ->
         (* the per-request exception barrier: whatever a request does —

@@ -27,7 +27,7 @@
     {!exact_threshold} directed cities — every committed golden
     trajectory lives far below it — and switches to [Select] above,
     where bit-identity with the dense era is explicitly relaxed
-    (results/solver_bench.json carries the re-baselined trajectory).
+    (test/test_trajectory.ml pins the re-baselined trajectory).
 
     Row construction is embarrassingly parallel: [exec] fans the cities
     out over contiguous chunks on the engine's domain pool and merges

@@ -74,7 +74,6 @@ let city_at st p = Tour_repr.city_at st.repr p
 let position st c = Tour_repr.pos st.repr c
 let succ st c = Tour_repr.succ st.repr c
 let pred st c = Tour_repr.pred st.repr c
-let repr_kind st = Tour_repr.kind_of st.repr
 let segments st = Tour_repr.segments st.repr
 let rebalances st = Tour_repr.rebalances st.repr
 let seg_splits st = Tour_repr.splits st.repr

@@ -116,15 +116,6 @@ val succ : state -> int -> int
 
 val pred : state -> int -> int
 
-(** The representation actually in use ([Array] or [Two_level]). *)
-val repr_kind : state -> Tour_repr.kind
-
-(** Two-level structure statistics (1 / 0 / 0 on the flat arrays). *)
-val segments : state -> int
-
-val seg_splits : state -> int
-val rebalances : state -> int
-
 (** Current tour cost in directed units ({!Sym.directed_tour_cost}:
     locked edges count 0), which cannot wrap where the directed cost
     does not; O(1). *)

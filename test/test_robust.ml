@@ -167,6 +167,67 @@ let test_budget_per_request () =
         (0. < r && r <= 60_000.)
   | None -> Alcotest.fail "deadline budget lost its deadline"
 
+(* A non-zero deadline on the monotonic clock: live at creation, a
+   remaining time that only counts down, and fired once it has passed.
+   Liveness is asserted outright on a 1 s budget; on the 30 ms one a
+   descheduled runner may already be past the deadline, so there an
+   early exhaustion must at least agree with the elapsed time. *)
+let test_budget_deadline_elapses () =
+  let roomy = Budget.create ~deadline_ms:1000 () in
+  let b = Budget.create ~deadline_ms:30 () in
+  Alcotest.(check bool) "1 s budget live at creation" false
+    (Budget.exhausted roomy);
+  if Budget.exhausted b then
+    Alcotest.(check bool) "early exhaustion only after 30 ms" true
+      (Budget.elapsed_ms b >= 30.);
+  let remaining () =
+    match Budget.remaining_ms b with
+    | Some r -> r
+    | None -> Alcotest.fail "deadline budget lost its deadline"
+  in
+  let prev = ref 30. and clock = ref (Ba_obs.Mono.now_ns ()) in
+  for _ = 1 to 1000 do
+    let r = remaining () and t = Ba_obs.Mono.now_ns () in
+    if r > !prev then Alcotest.failf "remaining_ms rose: %g -> %g" !prev r;
+    if Int64.compare t !clock < 0 then
+      Alcotest.failf "Mono.now_ns went backwards: %Ld -> %Ld" !clock t;
+    prev := r;
+    clock := t
+  done;
+  Unix.sleepf 0.05;
+  Alcotest.(check bool) "exhausted after 50 ms" true (Budget.exhausted b);
+  Alcotest.(check bool) "elapsed >= 30 ms" true (Budget.elapsed_ms b >= 30.);
+  Alcotest.(check (float 0.)) "nothing remains" 0. (remaining ())
+
+(* A deadline too far out to represent in Mono nanoseconds saturates
+   instead of wrapping into the past. *)
+let test_budget_huge_deadline () =
+  List.iter
+    (fun ms ->
+      let b = Budget.create ~deadline_ms:ms () in
+      Alcotest.(check bool) (Printf.sprintf "%d ms not exhausted" ms) false
+        (Budget.exhausted b);
+      match Budget.remaining_ms b with
+      | Some r ->
+          Alcotest.(check bool) (Printf.sprintf "%d ms remains" ms) true
+            (r > 1e12)
+      | None -> Alcotest.fail "deadline budget lost its deadline")
+    [ max_int; 10_000_000_000_000; 9_300_000_000_000 ]
+
+(* The 3-Opt move loop polls its budget between moves, so a deadline
+   poll must not allocate: a boxed clock reading per poll would add
+   minor collections to every budgeted solve. *)
+let test_budget_poll_allocates_nothing () =
+  let b = Budget.create ~deadline_ms:60_000 ~max_moves:max_int () in
+  let live = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    if not (Budget.exhausted b) then incr live
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every poll live" 10_000 !live;
+  Alcotest.(check (float 0.)) "minor words allocated by 10k polls" 0. words
+
 (* The daemon-side deadline policy helper. *)
 let test_clamp_deadline () =
   let check what got want = Alcotest.(check bool) what true (got = want) in
@@ -271,6 +332,12 @@ let () =
             test_budget_semantics;
           Alcotest.test_case "per-request budgets isolated" `Quick
             test_budget_per_request;
+          Alcotest.test_case "30 ms deadline elapses" `Quick
+            test_budget_deadline_elapses;
+          Alcotest.test_case "huge deadline saturates" `Quick
+            test_budget_huge_deadline;
+          Alcotest.test_case "deadline poll allocates nothing" `Quick
+            test_budget_poll_allocates_nothing;
           Alcotest.test_case "deadline clamping" `Quick test_clamp_deadline;
           Alcotest.test_case "move counter atomic across domains" `Quick
             test_budget_atomic_moves;

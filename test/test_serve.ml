@@ -409,6 +409,32 @@ let test_server_client_gone () =
   Driver.send t (align_req ~id:1 cfg profile);
   stop_clean t "client gone" [ Server.Client_gone ]
 
+(* A deadline sent over the wire is turned into a monotonic instant: an
+   instant one degrades along the fallback chain, and one too far out to
+   represent (1e13 ms) saturates rather than wrapping into the past. *)
+let test_server_deadline_extremes () =
+  let t = Driver.start () in
+  let request ~id deadline_ms =
+    (* a fresh subject per request, so neither answer is a cache hit *)
+    let cfg, profile = subject (6 + id) in
+    Driver.send t
+      (Wire.Align
+         {
+           id;
+           cfg;
+           profile;
+           options = { Wire.default_options with Wire.deadline_ms = Some deadline_ms };
+         });
+    recv_ok t (Printf.sprintf "deadline %d ms" deadline_ms)
+  in
+  let instant = request ~id:1 0 in
+  Alcotest.(check bool) "0 ms is a miss" false instant.Wire.cached;
+  Alcotest.(check bool) "0 ms degrades" true (instant.Wire.fallbacks > 0);
+  let huge = request ~id:2 10_000_000_000_000 in
+  Alcotest.(check bool) "1e13 ms is a miss" false huge.Wire.cached;
+  Alcotest.(check int) "1e13 ms never degrades" 0 huge.Wire.fallbacks;
+  stop_clean t "eof" [ Server.Clean_eof ]
+
 let test_server_poisoned_cache_rejected () =
   let cfg, profile = subject 5 in
   let path = Filename.temp_file "balign-poison" ".json" in
@@ -473,6 +499,8 @@ let () =
             test_server_drain;
           Alcotest.test_case "client hangs up before reading" `Quick
             test_server_client_gone;
+          Alcotest.test_case "deadline extremes over the wire" `Quick
+            test_server_deadline_extremes;
           Alcotest.test_case "poisoned cache entry rejected" `Quick
             test_server_poisoned_cache_rejected;
         ] );

@@ -4,7 +4,6 @@
      check_trace TRACE.json                validate a Chrome trace_event file
      check_trace --metrics M.json          validate a metrics snapshot
      check_trace --bench B.json            validate a bench trajectory
-     check_trace --solver-bench S.json     validate a solver microbenchmark
      check_trace --analyze A.json          validate a balign-analyze-1 report
 
    Exit 0 with a one-line deterministic summary on stdout, exit 1 with
@@ -186,76 +185,6 @@ let check_bench path =
     rows;
   Printf.printf "bench ok: %d rows\n" (List.length rows)
 
-(* ---------------- solver microbenchmark ---------------- *)
-
-let check_solver_bench path =
-  let doc = parse path in
-  let version =
-    match str (member "schema" doc) with
-    | "solver-bench/1" -> 1
-    | "solver-bench/2" -> 2
-    | "solver-bench/3" -> 3
-    | _ -> die "bad schema"
-  in
-  if str (member "commit" doc) = "" then die "empty commit";
-  let date = str (member "date" doc) in
-  if String.length date <> 20 || date.[4] <> '-' || date.[10] <> 'T'
-     || date.[19] <> 'Z'
-  then die "date %S is not ISO-8601 UTC" date;
-  let variant = str (member "variant" doc) in
-  if variant = "" then die "empty variant";
-  List.iter (fun k -> ignore (num (member k doc))) [ "seed"; "kicks"; "neighbors" ];
-  if version >= 2 then begin
-    (* the v2 header records the instance family and construction knobs *)
-    if str (member "family" doc) = "" then die "empty family";
-    if str (member "mode" doc) = "" then die "empty mode";
-    if num (member "jobs" doc) < 1. then die "jobs < 1"
-  end;
-  (* the v3 header records the requested tour representation *)
-  if version >= 3 && str (member "repr" doc) = "" then die "empty repr";
-  let entries = list (member "entries" doc) in
-  if entries = [] then die "no entries";
-  let last_n = ref 0 in
-  List.iter
-    (fun e ->
-      let n = int_of_float (num (member "n_blocks" e)) in
-      if n <= !last_n then die "entries not in increasing n_blocks order";
-      last_n := n;
-      if int_of_float (num (member "n_cities" e)) <> n + 1 then
-        die "n_cities is not n_blocks + 1 at n=%d" n;
-      List.iter
-        (fun k ->
-          let v = num (member k e) in
-          if v < 0. then die "negative %S at n=%d" k n)
-        ([ "build_s"; "build_words"; "sym_s"; "nbr_s"; "instance_words";
-           "opt_s"; "moves"; "moves_per_s" ]
-        @ (if version >= 2 then [ "scans_skipped" ] else [])
-        @
-        if version >= 3 then
-          [ "move_cost_p50"; "move_cost_p95"; "seg_splits"; "rebalances" ]
-        else []);
-      if version >= 3 then begin
-        (* the representation each entry actually ran on (Auto resolved) *)
-        (match str (member "repr" e) with
-        | "array" | "two-level" -> ()
-        | r -> die "unknown entry repr %S at n=%d" r n);
-        if num (member "move_cost_p50" e) > num (member "move_cost_p95" e)
-        then die "move-cost p50 above p95 at n=%d" n
-      end;
-      (* best_cost/tour_hash are deterministic identity anchors; any
-         shape will do but they must be present *)
-      ignore (num (member "best_cost" e));
-      ignore (num (member "tour_hash" e));
-      (* a row that carried certification must have passed it *)
-      match Json.member "certified" e with
-      | None -> ()
-      | Some c ->
-          if c <> Json.Bool true then die "uncertified layout at n=%d" n;
-          if num (member "cert_s" e) < 0. then die "negative cert_s at n=%d" n)
-    entries;
-  Printf.printf "solver-bench ok: variant %s, %d entries\n" variant
-    (List.length entries)
-
 (* ---------------- analyze report ---------------- *)
 
 let check_analyze path =
@@ -353,10 +282,9 @@ let () =
   match Sys.argv with
   | [| _; "--metrics"; path |] -> check_metrics path
   | [| _; "--bench"; path |] -> check_bench path
-  | [| _; "--solver-bench"; path |] -> check_solver_bench path
   | [| _; "--serve-soak"; path |] -> check_serve_soak path
   | [| _; "--analyze"; path |] -> check_analyze path
   | [| _; path |] -> check_chrome path
   | _ ->
       die "usage: check_trace \
-           [--metrics|--bench|--solver-bench|--serve-soak|--analyze] FILE"
+           [--metrics|--bench|--serve-soak|--analyze] FILE"
