@@ -493,40 +493,9 @@ let method_opt =
        & info [ "method" ] ~docv:"METHOD"
            ~doc:"original | greedy | calder | calder-exhaustive | btfnt | tsp")
 
-let tour_repr_conv : Ba_tsp.Tour_repr.kind Arg.conv =
-  let parse s =
-    match Ba_tsp.Tour_repr.kind_of_string s with
-    | Some k -> Ok k
-    | None ->
-        Error (`Msg (Printf.sprintf "unknown tour representation %s" s))
-  in
-  Arg.conv (parse, fun ppf k -> Fmt.string ppf (Ba_tsp.Tour_repr.kind_name k))
-
-let tour_repr_opt =
-  Arg.(value & opt tour_repr_conv Ba_tsp.Tour_repr.Auto
-       & info [ "tour-repr" ] ~docv:"REPR"
-           ~doc:"tour representation of the 3-Opt solver: $(b,array) (flat \
-                 arrays, O(n) moves), $(b,two-level) (√n-segment lists, \
-                 O(√n) moves), or $(b,auto) (default: flat up to the \
-                 documented threshold, two-level above).  The trajectory is \
-                 identical either way; only the time to walk it changes.")
-
-(** Rewire the solver config of a TSP method (no-op on the others). *)
-let method_with_tour_repr m tour_repr =
-  match m with
-  | Ba_align.Driver.Tsp cfg ->
-      Ba_align.Driver.Tsp
-        {
-          cfg with
-          Ba_align.Tsp_align.solver =
-            { cfg.Ba_align.Tsp_align.solver with Ba_tsp.Iterated.tour_repr };
-        }
-  | m -> m
-
 let align_cmd =
   let run file input input_file m model deadline_ms fallback jobs certify
-      profile_mode tour_repr =
-    let m = method_with_tour_repr m tour_repr in
+      profile_mode =
     let executor = Executor.of_jobs jobs in
     let* c = load_program file in
     let* inp = load_input ~input ~input_file in
@@ -620,13 +589,13 @@ let align_cmd =
     ]
   in
   cmd "align" ~man ~doc:"align a program and report penalty and cycle changes"
-    Term.(const (fun file i f m mo d fb j cert pm repr trace metrics ->
+    Term.(const (fun file i f m mo d fb j cert pm trace metrics ->
               run_term (fun () ->
                   with_obs ~trace ~metrics (fun () ->
-                      run file i f m mo d fb j cert pm repr)))
+                      run file i f m mo d fb j cert pm)))
           $ file_arg $ input_opt $ input_file_opt $ method_opt $ model_opt
           $ deadline_opt $ fallback_opt $ jobs_opt $ certify_opt
-          $ profile_mode_opt $ tour_repr_opt $ trace_opt $ metrics_opt)
+          $ profile_mode_opt $ trace_opt $ metrics_opt)
 
 (* ---------------- evaluate (cross-validation) ---------------- *)
 
@@ -724,7 +693,7 @@ let bounds_cmd =
 (* ---------------- bench ---------------- *)
 
 let bench_cmd =
-  let run name model deadline_ms fallback jobs json profile_mode tour_repr =
+  let run name model deadline_ms fallback jobs json profile_mode =
     let find name =
       List.find_opt
         (fun w -> w.Ba_workloads.Workload.name = name)
@@ -751,7 +720,6 @@ let bench_cmd =
                   {
                     base.Ba_harness.Runner.tsp.Ba_align.Tsp_align.solver with
                     Ba_tsp.Iterated.deadline_ms;
-                    tour_repr;
                   };
               };
           }
@@ -823,13 +791,12 @@ let bench_cmd =
   in
   cmd "bench" ~man
     ~doc:"run the paper's experiment for one built-in benchmark"
-    Term.(const (fun n mo d fb j json pm repr trace metrics ->
+    Term.(const (fun n mo d fb j json pm trace metrics ->
               run_term (fun () ->
                   with_obs ~trace ~metrics (fun () ->
-                      run n mo d fb j json pm repr)))
+                      run n mo d fb j json pm)))
           $ bench_name $ model_opt $ deadline_opt $ fallback_opt $ jobs_opt
-          $ json_opt $ profile_mode_opt $ tour_repr_opt $ trace_opt
-          $ metrics_opt)
+          $ json_opt $ profile_mode_opt $ trace_opt $ metrics_opt)
 
 (* ---------------- serve ---------------- *)
 

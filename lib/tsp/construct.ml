@@ -9,16 +9,12 @@
     Both are {e sparse-aware}: they drive the CSR rows of {!Dtsp}
     (explicit deviations + per-row default) instead of scanning the
     O(n²) logical matrix, which is what makes multi-start solves viable
-    at 10⁵–10⁶ blocks.  Nearest-neighbor is {e bit-identical} to the
-    historical dense scan at every size, randomized or not (it consumes
-    the same single RNG draw per step over the same candidate buffer).
-    The randomized greedy draws one RNG float {e per edge over all
-    n(n−1) edges} in the dense formulation, which no sub-quadratic
-    enumeration can reproduce, so it is gated like
-    {!Neighbors.exact_threshold}: the dense scan (and its exact RNG
-    stream) below {!greedy_dense_threshold}, the sparse merge above —
-    deterministic for a fixed RNG either way, and identical to the
-    dense result whenever no RNG is supplied. *)
+    at 10⁵–10⁶ blocks.  Both depend only on the logical instance, never
+    on which entries it stores explicitly: nearest-neighbor is
+    bit-identical to the dense O(n)-per-step scan (one RNG draw per
+    step over the same candidate buffer), and the randomized greedy
+    draws one RNG float per live edge (source without a successor,
+    destination without a predecessor) in (cost, i, j) order. *)
 
 (** The identity tour 0,1,…,n−1. *)
 let identity n = Array.init n (fun i -> i)
@@ -133,12 +129,6 @@ let nearest_neighbor ?rng ?(choices = 1) (d : Dtsp.t) ~start =
 (* ------------------------------------------------------------------ *)
 (* greedy edge matching                                                *)
 
-(** Largest instance the randomized greedy still serves with the dense
-    all-edges scan (and hence the historical RNG stream); mirrors the
-    {!Neighbors.exact_threshold} gate, and every committed trajectory
-    that consumes randomized greedy starts lives below it. *)
-let greedy_dense_threshold = Neighbors.exact_threshold
-
 (* shared fragment bookkeeping: next/prev successor arrays, union-find
    over path fragments to refuse early cycles *)
 type frag = {
@@ -209,51 +199,18 @@ let frag_finish (d : Dtsp.t) f =
   done;
   tour
 
-(* the historical dense scan: materialize and sort all n(n−1) directed
-   edges, then consider every one in (cost, i, j) order, drawing one
-   RNG float per edge when randomized *)
-let greedy_dense ?rng ~skip_prob (d : Dtsp.t) =
-  let n = d.Dtsp.n in
-  let f = frag_make n in
-  let edges = Array.make (n * (n - 1)) (0, 0, 0) in
-  let k = ref 0 in
-  let row = Array.make n 0 in
-  for i = 0 to n - 1 do
-    Dtsp.blit_row d i row;
-    for j = 0 to n - 1 do
-      if i <> j then begin
-        edges.(!k) <- (row.(j), i, j);
-        incr k
-      end
-    done
-  done;
-  Array.sort compare edges;
-  Array.iter
-    (fun (_, i, j) ->
-      let skip =
-        match rng with
-        | Some st -> Random.State.float st 1.0 < skip_prob
-        | None -> false
-      in
-      if not skip then ignore (frag_try_edge f n i j))
-    edges;
-  frag_finish d f
-
-(* Sparse merge scan: enumerate the acceptable edges in the same
-   (cost, i, j) order without materializing the matrix.  The explicit
-   stream is the sorted array of all explicit off-diagonal deviations;
-   the default stream walks the rows in (default, row) order, each row
-   emitting its implicit columns ascending, restricted to cities that
-   still lack a predecessor (a path-compressed first-open-≥ skip array
-   makes the restriction near-O(1)).  Edges that the dense scan would
-   consider but that can no longer be accepted (source already linked,
-   destination already linked, explicit column) are exactly the ones
-   the filters drop, so without an RNG the result is identical to the
-   dense scan; with an RNG, one float is drawn per emitted edge and
-   enumeration stops once the path set is complete, which is a
-   different (but deterministic) stream from the dense all-edges
-   draw — the reason the dense path is kept below the gate. *)
-let greedy_sparse ?rng ~skip_prob (d : Dtsp.t) =
+(* Merge scan: enumerate the acceptable edges in (cost, i, j) order
+   without materializing the matrix.  The explicit stream is the sorted
+   array of all explicit off-diagonal deviations; the default stream
+   walks the rows in (default, row) order, each row emitting its
+   implicit columns ascending, restricted to cities that still lack a
+   predecessor (a path-compressed first-open-≥ skip array makes the
+   restriction near-O(1)).  One RNG float is drawn per {e live} edge —
+   source still without a successor, destination still without a
+   predecessor — from either stream, so the draws do not depend on
+   which edges the instance stores explicitly; enumeration stops once
+   the path set is complete. *)
+let merge_scan ?rng ~skip_prob (d : Dtsp.t) =
   let n = d.Dtsp.n in
   let f = frag_make n in
   (* explicit stream *)
@@ -348,12 +305,14 @@ let greedy_sparse ?rng ~skip_prob (d : Dtsp.t) =
     !res
   in
   let consider (_, i, j) =
-    let skip_edge =
-      match rng with
-      | Some st -> Random.State.float st 1.0 < skip_prob
-      | None -> false
-    in
-    if not skip_edge then ignore (try_edge i j)
+    if f.fnext.(i) < 0 && f.fprev.(j) < 0 then begin
+      let skip_edge =
+        match rng with
+        | Some st -> Random.State.float st 1.0 < skip_prob
+        | None -> false
+      in
+      if not skip_edge then ignore (try_edge i j)
+    end
   in
   let exhausted = ref false in
   while f.accepted < n - 1 && not !exhausted do
@@ -383,22 +342,11 @@ let greedy_sparse ?rng ~skip_prob (d : Dtsp.t) =
     directed edges in increasing (cost, i, j) order and accepting an
     edge when its source still lacks a layout successor, its
     destination lacks a predecessor, and it does not close a subtour
-    early.  With [rng], each acceptable edge is randomly skipped with
-    probability [skip_prob], which randomizes the construction;
+    early.  With [rng], each edge whose source and destination are
+    still free is randomly skipped with probability [skip_prob]
+    (one draw per such edge), which randomizes the construction;
     leftover path fragments are then stitched cheapest-first.  This
     mirrors the greedy matching heuristic the greedy branch aligners
-    use, applied to the full cost matrix.
-
-    Deterministic calls always take the sparse merge scan (identical
-    result to the dense scan, O((n + E) log) instead of O(n² log n));
-    randomized calls keep the dense scan — and its exact historical
-    RNG stream — up to {!greedy_dense_threshold} cities and use the
-    sparse enumeration above it. *)
+    use, applied to the full cost matrix, in O((n + E) log) time. *)
 let greedy_edge ?rng ?(skip_prob = 0.1) (d : Dtsp.t) =
-  let n = d.Dtsp.n in
-  if n = 2 then [| 0; 1 |]
-  else
-    match rng with
-    | Some _ when n <= greedy_dense_threshold ->
-        greedy_dense ?rng ~skip_prob d
-    | _ -> greedy_sparse ?rng ~skip_prob d
+  if d.Dtsp.n = 2 then [| 0; 1 |] else merge_scan ?rng ~skip_prob d

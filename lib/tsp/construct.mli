@@ -17,19 +17,12 @@ val identity : int -> int array
 val nearest_neighbor :
   ?rng:Random.State.t -> ?choices:int -> Dtsp.t -> start:int -> int array
 
-(** Largest instance the randomized greedy still serves with the dense
-    all-edges scan (and hence the historical RNG stream); mirrors the
-    {!Neighbors.exact_threshold} gate. *)
-val greedy_dense_threshold : int
-
 (** Scan the edges in increasing (cost, i, j) order, linking chain
-    tails to chain heads; with [rng], acceptable edges are skipped with
+    tails to chain heads; with [rng], live edges (source without a
+    successor, destination without a predecessor) are skipped with
     probability [skip_prob] and leftover fragments stitched
-    cheapest-first.  Deterministic calls always use a sparse merge of
-    the explicit-deviation stream with a per-row default stream —
-    identical result to the dense scan without materializing the n(n−1)
-    edges.  Randomized calls keep the dense scan (exact historical RNG
-    stream) up to {!greedy_dense_threshold} cities and switch to the
-    sparse enumeration (one draw per emitted edge, deterministic for a
-    fixed RNG) above it. *)
+    cheapest-first.  A merge of the explicit-deviation stream with a
+    per-row default stream, without materializing the n(n−1) edges; one
+    RNG draw per live edge, so the result depends only on the logical
+    instance and the RNG, not on which entries are stored explicitly. *)
 val greedy_edge : ?rng:Random.State.t -> ?skip_prob:float -> Dtsp.t -> int array

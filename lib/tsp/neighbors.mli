@@ -1,29 +1,19 @@
 (** k-nearest-neighbor candidate lists (finite, non-locked partners
-    only), sorted by increasing cost so searches can stop early. *)
+    only), sorted by increasing cost so searches can stop early.
 
-(** Selection algorithm.  [Exact] reproduces the historical dense
-    scan's exact tie order (full per-city sort, O(n² log n) — the
-    identity anchor for small-instance trajectories); [Select] is the
-    partial heap-select merge over the sparse CSR rows, returning the
-    unique k-cheapest list under the canonical order (cost, partner id)
-    in O(n log n + n·k + E); [Auto] (default) gates on
-    {!exact_threshold}. *)
-type mode = Auto | Exact | Select
+    Each list is a merge of the city's sorted explicit deviations with
+    its default-cost tail over the sparse CSR rows, O(n log n + n·k + E)
+    in total.  Ties break by a per-city order, so every list is the
+    unique k-cheapest under a strict total order, independent of which
+    entries the instance stores explicitly:
 
-(** Largest directed-instance size (cities, dummy included) that [Auto]
-    still serves with the bit-exact dense tie order.  Every committed
-    golden trajectory lives far below this. *)
-val exact_threshold : int
+    - out-city [2i+1] orders in-city [2j] by (cost, (j − i − 1) mod n),
+      a tail that starts just after the city itself;
+    - in-city [2j] orders out-city [2i+1] by (cost, i). *)
 
 (** [of_sym s ~k] builds, for every symmetric city, its up-to-[k]
     cheapest candidate partners (finite cost, not the locked partner).
-    [k] is clamped to [0..n−1], so both algorithms return the same short
-    list when [k] exceeds the partner count.  [exec] fans row
-    construction out over the engine's domain pool (chunked, merged in
-    index order) — the result is bit-identical at any job count. *)
-val of_sym :
-  ?mode:mode ->
-  ?exec:Ba_engine.Executor.t ->
-  Sym.t ->
-  k:int ->
-  int array array
+    [k] is clamped to [0..n−1].  [exec] fans row construction out over
+    the engine's domain pool (chunked, merged in index order) — the
+    result is bit-identical at any job count. *)
+val of_sym : ?exec:Ba_engine.Executor.t -> Sym.t -> k:int -> int array array

@@ -41,12 +41,6 @@ let kind_name = function
   | Array -> "array"
   | Two_level -> "two-level"
 
-let kind_of_string = function
-  | "auto" -> Some Auto
-  | "array" | "flat" -> Some Array
-  | "two-level" | "two_level" -> Some Two_level
-  | _ -> None
-
 type flat = {
   ftour : int array;  (** position → city *)
   fpos : int array;  (** city → position *)

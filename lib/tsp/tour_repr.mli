@@ -16,9 +16,6 @@ val two_level_threshold : int
 
 val kind_name : kind -> string
 
-(** Parse a CLI spelling ([auto] / [array] / [two-level]). *)
-val kind_of_string : string -> kind option
-
 type t
 
 (** [make ?spans kind ~n_cities tour] picks the representation

@@ -1,17 +1,13 @@
 (* Differential wall for the k-NN candidate-list construction
-   ({!Ba_tsp.Neighbors}).  Two independent oracles pin both algorithms:
+   ({!Ba_tsp.Neighbors}).  The lists must equal the canonical oracle:
+   all finite non-locked partners sorted by cost, ties broken by the
+   per-city order — an out-city 2i+1 ranks in-city 2j by
+   (j − i − 1) mod n, an in-city ranks out-city 2i+1 by i — truncated to
+   k.  That order is a strict total order, so the expected list is
+   unique and any correct implementation matches it.
 
-   - [Exact] must equal the legacy dense full-sort scan byte for byte,
-     including its heapsort tie order — the anchor that keeps every
-     committed small-instance trajectory bit-identical.
-   - [Select] (the heap-select merge over sparse CSR rows) must equal
-     the canonical oracle: all partners sorted by (cost, partner id),
-     truncated to k.  That order is a strict total order, so the
-     expected list is unique and any correct implementation matches it.
-
-   Both must agree on the selected cost multiset, exclude the locked
-   partner, clamp k into [0, n−1], and be bit-identical at any executor
-   job count. *)
+   The lists must also exclude the locked partner, clamp k into
+   [0, n−1], and be bit-identical at any executor job count. *)
 
 open Ba_tsp
 module Executor = Ba_engine.Executor
@@ -20,48 +16,14 @@ let gen_seed = QCheck2.Gen.int_bound 1_000_000
 
 (* ---------------- oracles ---------------- *)
 
-(* the legacy dense symmetrization matrix *)
-let dense_sym (d : Dtsp.t) =
-  let n = d.Dtsp.n in
-  let cmax = Dtsp.max_cost d in
-  let m = (2 * cmax) + 2 in
-  let inf = 8 * (cmax + m + 1) in
-  let nn = 2 * n in
-  let cost = Array.make_matrix nn nn inf in
-  for i = 0 to n - 1 do
-    cost.(2 * i).((2 * i) + 1) <- -m;
-    cost.((2 * i) + 1).(2 * i) <- -m;
-    for j = 0 to n - 1 do
-      if i <> j then begin
-        cost.((2 * i) + 1).(2 * j) <- Dtsp.cost d i j;
-        cost.(2 * j).((2 * i) + 1) <- Dtsp.cost d i j
-      end
-    done
-  done;
-  cost
-
-(* the legacy dense neighbor-list construction, byte for byte: ascending
-   prepend scan, Array.sort on matrix lookups, truncate to k *)
-let legacy_oracle (s : Sym.t) sym_matrix ~k =
-  let nn = s.Sym.nn in
-  Array.init nn (fun a ->
-      let cand = ref [] in
-      for b = 0 to nn - 1 do
-        if
-          b <> a
-          && (not (Sym.is_locked s a b))
-          && sym_matrix.(a).(b) < s.Sym.inf
-        then cand := b :: !cand
-      done;
-      let arr = Array.of_list !cand in
-      Array.sort
-        (fun x y -> compare sym_matrix.(a).(x) sym_matrix.(a).(y))
-        arr;
-      if Array.length arr <= k then arr else Array.sub arr 0 k)
+(* the tie key of partner [b] in city [a]'s list *)
+let tie_key (s : Sym.t) a b =
+  let n = s.Sym.n_cities in
+  if a land 1 = 1 then (((b asr 1) - (a asr 1) - 1) + n) mod n else b
 
 (* the canonical oracle: every finite non-locked partner keyed by
-   (cost, partner id), full sort, truncate — the unique answer under
-   the strict total order [Select] promises *)
+   (cost, tie key), full sort, truncate — the unique answer under the
+   strict total order [Neighbors] promises *)
 let canonical_oracle (s : Sym.t) ~k =
   let nn = s.Sym.nn in
   let k = max 0 k in
@@ -70,7 +32,7 @@ let canonical_oracle (s : Sym.t) ~k =
       for b = nn - 1 downto 0 do
         if b <> a && not (Sym.is_locked s a b) then begin
           let c = Sym.cost s a b in
-          if c < s.Sym.inf then cand := (c, b) :: !cand
+          if c < s.Sym.inf then cand := ((c, tie_key s a b), b) :: !cand
         end
       done;
       let arr = Array.of_list !cand in
@@ -87,7 +49,7 @@ let random_matrix rng n =
       Array.init n (fun _ ->
           palette.(Random.State.int rng (Array.length palette))))
 
-(* all off-diagonal costs equal: exercises the uniform-row shortcuts *)
+(* all off-diagonal costs equal: every list is pure tie order *)
 let uniform_matrix rng n =
   let v = Random.State.int rng 100 in
   Array.init n (fun i -> Array.init n (fun j -> if i = j then 0 else v))
@@ -156,43 +118,8 @@ let prop_select_canonical =
       let s = Sym.of_dtsp d in
       List.for_all
         (fun k ->
-          check_lists ~what:"select" ~k
-            (Neighbors.of_sym ~mode:Neighbors.Select s ~k)
+          check_lists ~what:"select" ~k (Neighbors.of_sym s ~k)
             (canonical_oracle s ~k))
-        (ks_for d.Dtsp.n))
-
-let prop_exact_legacy =
-  QCheck2.Test.make ~count:300
-    ~name:"Exact = legacy dense full-sort scan (tie order included)"
-    gen_seed (fun seed ->
-      let d = instance_of_seed seed in
-      let s = Sym.of_dtsp d in
-      let dense = dense_sym d in
-      List.for_all
-        (fun k ->
-          if k < 0 then true (* the legacy scan predates negative k *)
-          else
-            check_lists ~what:"exact" ~k
-              (Neighbors.of_sym ~mode:Neighbors.Exact s ~k)
-              (legacy_oracle s dense ~k))
-        (ks_for d.Dtsp.n))
-
-let prop_modes_agree_on_costs =
-  QCheck2.Test.make ~count:300
-    ~name:"Exact and Select pick identical cost sequences" gen_seed
-    (fun seed ->
-      let d = instance_of_seed seed in
-      let s = Sym.of_dtsp d in
-      List.for_all
-        (fun k ->
-          let costs lists =
-            Array.mapi (fun a l -> Array.map (Sym.cost s a) l) lists
-          in
-          let e = costs (Neighbors.of_sym ~mode:Neighbors.Exact s ~k) in
-          let c = costs (Neighbors.of_sym ~mode:Neighbors.Select s ~k) in
-          if e <> c then
-            QCheck2.Test.fail_reportf "cost sequences differ at k=%d" k;
-          true)
         (ks_for d.Dtsp.n))
 
 let prop_locked_excluded =
@@ -201,24 +128,18 @@ let prop_locked_excluded =
     gen_seed (fun seed ->
       let d = instance_of_seed seed in
       let s = Sym.of_dtsp d in
-      List.iter
-        (fun mode ->
-          let nbr = Neighbors.of_sym ~mode s ~k:8 in
-          Array.iteri
-            (fun a l ->
-              Array.iter
-                (fun b ->
-                  if b = a then
-                    QCheck2.Test.fail_reportf "city %d lists itself" a;
-                  if Sym.is_locked s a b then
-                    QCheck2.Test.fail_reportf
-                      "city %d lists locked partner %d" a b;
-                  if a land 1 = b land 1 then
-                    QCheck2.Test.fail_reportf
-                      "city %d lists same-parity %d" a b)
-                l)
-            nbr)
-        [ Neighbors.Exact; Neighbors.Select ];
+      Array.iteri
+        (fun a l ->
+          Array.iter
+            (fun b ->
+              if b = a then QCheck2.Test.fail_reportf "city %d lists itself" a;
+              if Sym.is_locked s a b then
+                QCheck2.Test.fail_reportf "city %d lists locked partner %d" a
+                  b;
+              if a land 1 = b land 1 then
+                QCheck2.Test.fail_reportf "city %d lists same-parity %d" a b)
+            l)
+        (Neighbors.of_sym s ~k:8);
       true)
 
 let prop_executor_identity =
@@ -227,52 +148,40 @@ let prop_executor_identity =
     (fun seed ->
       let d = instance_of_seed seed in
       let s = Sym.of_dtsp d in
+      let seq = Neighbors.of_sym s ~k:8 in
       List.iter
-        (fun mode ->
-          List.iter
-            (fun jobs ->
-              let seq = Neighbors.of_sym ~mode s ~k:8 in
-              let par =
-                Neighbors.of_sym ~mode ~exec:(Executor.Pool jobs) s ~k:8
-              in
-              if seq <> par then
-                QCheck2.Test.fail_reportf "jobs=%d differs from Seq" jobs)
-            [ 2; 3 ])
-        [ Neighbors.Exact; Neighbors.Select ];
+        (fun jobs ->
+          if seq <> Neighbors.of_sym ~exec:(Executor.Pool jobs) s ~k:8 then
+            QCheck2.Test.fail_reportf "jobs=%d differs from Seq" jobs)
+        [ 2; 3 ];
       true)
 
 (* ---------------- unit regressions ---------------- *)
 
-(* the latent edge case: k beyond the partner count (and below zero)
-   must clamp identically on every path — the dense scan truncated
-   naturally, the uniform shortcut used to trust k blindly *)
+(* k beyond the partner count (and below zero) must clamp to the full
+   (or empty) list, never crash and never pad *)
 let test_k_clamping () =
   let rng = Random.State.make [| 42 |] in
   List.iter
     (fun d ->
       let s = Sym.of_dtsp d in
       let n = d.Dtsp.n in
+      let full = Neighbors.of_sym s ~k:(n - 1) in
       List.iter
-        (fun mode ->
-          let full = Neighbors.of_sym ~mode s ~k:(n - 1) in
-          List.iter
-            (fun k ->
-              let got = Neighbors.of_sym ~mode s ~k in
-              Array.iteri
-                (fun a l ->
-                  Alcotest.(check int)
-                    (Printf.sprintf "city %d length at k=%d" a k)
-                    (max 0 (min k (n - 1)))
-                    (Array.length l);
-                  (* oversized and negative k degrade to the full /
-                     empty list, never crash, never pad *)
-                  if k >= n - 1 then
-                    Alcotest.(check (array int))
-                      (Printf.sprintf "city %d full list at k=%d" a k)
-                      full.(a) l)
-                got)
-            [ -3; 0; 1; n - 1; n; n + 17 ])
-        [ Neighbors.Exact; Neighbors.Select ])
+        (fun k ->
+          let got = Neighbors.of_sym s ~k in
+          Array.iteri
+            (fun a l ->
+              Alcotest.(check int)
+                (Printf.sprintf "city %d length at k=%d" a k)
+                (max 0 (min k (n - 1)))
+                (Array.length l);
+              if k >= n - 1 then
+                Alcotest.(check (array int))
+                  (Printf.sprintf "city %d full list at k=%d" a k)
+                  full.(a) l)
+            got)
+        [ -3; 0; 1; n - 1; n; n + 17 ])
     [
       Dtsp.make [| [| 0; 5 |]; [| 2; 0 |] |];
       (* n = 2: a single partner *)
@@ -280,21 +189,19 @@ let test_k_clamping () =
       random_sparse rng 9;
     ]
 
-let test_auto_gating () =
-  (* below the threshold Auto is Exact; above it Auto is Select *)
-  let rng = Random.State.make [| 7 |] in
-  let small = Sym.of_dtsp (Dtsp.make (random_matrix rng 20)) in
-  Alcotest.(check bool) "auto = exact below threshold" true
-    (Neighbors.of_sym small ~k:8
-    = Neighbors.of_sym ~mode:Neighbors.Exact small ~k:8);
-  let n = Neighbors.exact_threshold + 40 in
-  let big = Sym.of_dtsp (random_sparse rng n) in
-  Alcotest.(check bool) "auto = select above threshold" true
-    (Neighbors.of_sym big ~k:8
-    = Neighbors.of_sym ~mode:Neighbors.Select big ~k:8);
-  (* and the big Select list must still match the canonical oracle *)
-  Alcotest.(check bool) "big select = canonical oracle" true
-    (Neighbors.of_sym big ~k:8 = canonical_oracle big ~k:8)
+(* the reason for the rotated out-city order: with every cost tied, an
+   ascending partner id would give every out-city the same low-id tail
+   and collapse the candidate graph onto a few in-cities *)
+let test_uniform_tails_differ () =
+  let n = 9 and k = 3 in
+  let s = Sym.of_dtsp (Dtsp.make (Array.make_matrix n n 4)) in
+  let nbr = Neighbors.of_sym s ~k in
+  Alcotest.(check (array int)) "out-city 1 tail starts after city 0"
+    [| 2; 4; 6 |] nbr.(1);
+  Alcotest.(check (array int)) "out-city 15 tail wraps past n-1"
+    [| 16; 0; 2 |] nbr.(15);
+  Alcotest.(check bool) "two uniform out-cities get different tails" true
+    (nbr.(1) <> nbr.(3))
 
 let () =
   Alcotest.run "neighbors-prop"
@@ -302,14 +209,13 @@ let () =
       ( "differential",
         [
           QCheck_alcotest.to_alcotest prop_select_canonical;
-          QCheck_alcotest.to_alcotest prop_exact_legacy;
-          QCheck_alcotest.to_alcotest prop_modes_agree_on_costs;
           QCheck_alcotest.to_alcotest prop_locked_excluded;
         ] );
       ("executor", [ QCheck_alcotest.to_alcotest prop_executor_identity ]);
       ( "regression",
         [
           Alcotest.test_case "k clamping" `Quick test_k_clamping;
-          Alcotest.test_case "auto gating" `Slow test_auto_gating;
+          Alcotest.test_case "uniform out-city tails differ" `Quick
+            test_uniform_tails_differ;
         ] );
     ]

@@ -1,9 +1,10 @@
 (* Differential suite for the sparse cost core: the CSR representation
-   ({!Ba_tsp.Dtsp}), the implicit symmetrization ({!Ba_tsp.Sym}) and the
-   sparse candidate-list construction ({!Ba_tsp.Neighbors}) must be
-   observationally identical to the dense implementations they replaced
-   — same cost oracle on every pair, same neighbor lists (including tie
-   order), same solver trajectory — on random matrices, random
+   ({!Ba_tsp.Dtsp}) and the implicit symmetrization ({!Ba_tsp.Sym}) must
+   be observationally identical to the dense implementations they
+   replaced — same cost oracle on every pair — and everything built on
+   them must depend only on the logical instance, not on which entries
+   it stores explicitly: the same neighbor lists, the same randomized
+   greedy start, the same solver trajectory, on random matrices, random
    CFG-derived instances and the real workload instances. *)
 
 open Ba_tsp
@@ -67,24 +68,13 @@ let dense_sym (d : Dtsp.t) =
   done;
   cost
 
-(* the legacy dense neighbor-list construction, byte for byte: ascending
-   prepend scan, Array.sort on matrix lookups, truncate to k *)
-let dense_neighbors (s : Sym.t) sym_matrix ~k =
-  let nn = s.Sym.nn in
-  Array.init nn (fun a ->
-      let cand = ref [] in
-      for b = 0 to nn - 1 do
-        if
-          b <> a
-          && (not (Sym.is_locked s a b))
-          && sym_matrix.(a).(b) < s.Sym.inf
-        then cand := b :: !cand
-      done;
-      let arr = Array.of_list !cand in
-      Array.sort
-        (fun x y -> compare sym_matrix.(a).(x) sym_matrix.(a).(y))
-        arr;
-      if Array.length arr <= k then arr else Array.sub arr 0 k)
+(* the same logical matrix with every entry stored explicitly: each
+   row's default is a value no entry takes *)
+let all_explicit m =
+  let n = Array.length m in
+  let absent = 1 + Array.fold_left (Array.fold_left max) 0 m in
+  Dtsp.of_rows ~n ~default:(Array.make n absent)
+    (Array.map (fun row -> List.init n (fun j -> (j, row.(j)))) m)
 
 let max_offdiag m =
   let n = Array.length m in
@@ -174,40 +164,47 @@ let prop_sym_oracle =
       done;
       true)
 
-let check_neighbors ~what (d : Dtsp.t) =
-  let s = Sym.of_dtsp d in
-  let dense = dense_sym d in
+(* neighbor lists of every storage of one logical instance agree *)
+let check_neighbors ~what (d : Dtsp.t) others =
+  let lists d k = Neighbors.of_sym (Sym.of_dtsp d) ~k in
   List.for_all
     (fun k ->
-      let got = Neighbors.of_sym s ~k in
-      let want = dense_neighbors s dense ~k in
-      Array.iteri
-        (fun a w ->
-          if got.(a) <> w then
-            QCheck2.Test.fail_reportf
-              "%s: neighbor list of city %d differs at k=%d (got %s, want \
-               %s)"
-              what a k
-              (String.concat ","
-                 (Array.to_list (Array.map string_of_int got.(a))))
-              (String.concat ","
-                 (Array.to_list (Array.map string_of_int w))))
-        want;
+      let want = lists d k in
+      List.iteri
+        (fun idx other ->
+          let got = lists other k in
+          Array.iteri
+            (fun a w ->
+              if got.(a) <> w then
+                QCheck2.Test.fail_reportf
+                  "%s: storage %d: neighbor list of city %d differs at k=%d \
+                   (got %s, want %s)"
+                  what idx a k
+                  (String.concat ","
+                     (Array.to_list (Array.map string_of_int got.(a))))
+                  (String.concat ","
+                     (Array.to_list (Array.map string_of_int w))))
+            want)
+        others;
       true)
     [ 3; 8; 12 ]
 
 let prop_neighbors_random =
   QCheck2.Test.make ~count:150
-    ~name:"neighbor lists identical to dense scan (random)" gen_seed
-    (fun seed -> check_neighbors ~what:"random" (Dtsp.make (random_matrix seed)))
+    ~name:"neighbor lists identical across storage (random)" gen_seed
+    (fun seed ->
+      let m = random_matrix seed in
+      check_neighbors ~what:"random" (Dtsp.make m) [ all_explicit m ])
 
 let prop_neighbors_reduction =
   QCheck2.Test.make ~count:150
-    ~name:"neighbor lists identical to dense scan (reduction)" gen_seed
+    ~name:"neighbor lists identical across storage (reduction)" gen_seed
     (fun seed ->
       let g, prof = random_cfg_profile seed in
       let inst = Reduction.build penalties g ~profile:prof in
-      check_neighbors ~what:"reduction" inst.Reduction.dtsp)
+      let dense, _ = dense_reduction penalties g ~profile:prof in
+      check_neighbors ~what:"reduction" inst.Reduction.dtsp
+        [ Dtsp.make dense; all_explicit dense ])
 
 let prop_solve_identical =
   QCheck2.Test.make ~count:60
@@ -221,6 +218,36 @@ let prop_solve_identical =
       if t1 <> t2 then QCheck2.Test.fail_reportf "tours differ";
       if s1 <> s2 then QCheck2.Test.fail_reportf "solver stats differ";
       true)
+
+(* the randomized greedy draws one float per live edge from both the
+   explicit and the default stream, so every storage of one instance
+   consumes the same RNG stream and builds the same start.  At this
+   size [Dtsp.make] stores the reduction's rows exactly as
+   [Reduction.build] does, so the all-explicit storage is the one that
+   puts dead edges — endpoints already linked — into the explicit
+   stream. *)
+let test_greedy_storage () =
+  let rng = Random.State.make [| 5 |] in
+  let g = Ba_testutil.Gen.cfg rng ~n:600 in
+  let prof =
+    Profile.proc
+      (Ba_testutil.Gen.profile_of ~seed:6 g ~invocations:20 ~max_steps:4000)
+      0
+  in
+  let inst = Reduction.build penalties g ~profile:prof in
+  let dense, _ = dense_reduction penalties g ~profile:prof in
+  let start d =
+    let r = Random.State.make [| 9 |] in
+    let t = Construct.greedy_edge ~rng:r d in
+    (t, Random.State.bits r)
+  in
+  let t1, next1 = start inst.Reduction.dtsp in
+  List.iter
+    (fun (what, d) ->
+      let t2, next2 = start d in
+      Alcotest.(check (array int)) (what ^ ": tour") t1 t2;
+      Alcotest.(check int) (what ^ ": rng state after") next1 next2)
+    [ ("make", Dtsp.make dense); ("all explicit", all_explicit dense) ]
 
 (* ---------------- workload instances ---------------- *)
 
@@ -248,7 +275,7 @@ let test_workload_instances () =
         Alcotest.(check bool)
           (name ^ ": neighbors")
           true
-          (check_neighbors ~what:name inst.Reduction.dtsp);
+          (check_neighbors ~what:name inst.Reduction.dtsp [ Dtsp.make dense ]);
         let t1, _ = Iterated.solve inst.Reduction.dtsp in
         let t2, _ = Iterated.solve (Dtsp.make dense) in
         Alcotest.(check (array int)) (name ^ ": tour") t2 t1
@@ -274,5 +301,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_solve_identical;
           Alcotest.test_case "workload instances" `Slow
             test_workload_instances;
+          Alcotest.test_case "randomized greedy independent of storage" `Quick
+            test_greedy_storage;
         ] );
     ]

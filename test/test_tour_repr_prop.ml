@@ -412,9 +412,8 @@ let prop_greedy_sparse_equals_dense =
         [ dtsp_of_seed ~min_n:4 ~max_n:30 seed; sparse_dtsp_of_seed seed ];
       true)
 
-(* randomized greedy below the gate keeps the dense scan: a fixed RNG
-   must reproduce the same tour across calls (determinism), and the
-   gate itself must be the documented constant *)
+(* a fixed RNG must reproduce the same randomized greedy tour across
+   calls *)
 let prop_greedy_rng_deterministic =
   QCheck2.Test.make ~count:150
     ~name:"randomized greedy deterministic for a fixed RNG" gen_seed
@@ -432,8 +431,7 @@ let prop_greedy_rng_deterministic =
       true)
 
 let () =
-  assert (Construct.greedy_dense_threshold = Neighbors.exact_threshold);
-  Alcotest.run "tour-repr-prop"
+  Alcotest.run "tour_repr-prop"
     [
       ( "two-level",
         [

@@ -75,10 +75,10 @@ let check_baseline (n, cost, hash, moves, skipped) o =
 
 let syn_baseline =
   [
-    (64, -47552, 402595972, 106, 99);
-    (256, -242543, 51959437, 26, 21);
+    (64, -47552, 199778018, 93, 82);
+    (256, -242543, 486334030, 22, 19);
     (1024, -4100, 780747208, 0, 0);
-    (4096, -11577626, 59949915, 90, 18);
+    (4096, -11577561, 563448963, 84, 8);
   ]
 
 let test_syn () =
