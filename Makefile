@@ -19,9 +19,15 @@ test:
 # fault-injection and robustness suites), a CLI smoke test of the
 # documented exit codes, the static-analysis gate on the committed
 # examples, and the single-clock rule: every duration and deadline
-# reads Ba_obs.Mono, so gettimeofday may not appear in the sources.
+# reads Ba_obs.Mono, so gettimeofday may not appear in the sources, and
+# stage timings are span totals, so under lib/ only the span recorder
+# (lib/obs), budgets, the serve latency histogram and the 3-Opt run_ns
+# counters read the clock directly.
 check: build test smoke lint
 	@! grep -rn gettimeofday lib bin bench || { echo "check FAIL: gettimeofday outside Ba_obs.Mono"; exit 1; }
+	@! grep -rnE 'Mono\.(now_ns|since_s)' lib \
+	  | grep -vE '^lib/(obs/|robust/budget\.ml:|serve/server\.ml:|tsp/three_opt\.ml:)' \
+	  || { echo "check FAIL: clock read outside spans (see Makefile check)"; exit 1; }
 
 # The smoke test drives the built binary through the failure paths that
 # docs/ROBUSTNESS.md documents and checks the exit codes line up.

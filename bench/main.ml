@@ -59,9 +59,9 @@ let need_rows =
 let rows =
   if need_rows then begin
     Fmt.pf eppf "running the full experiment suite (6 benchmarks x 2 data sets, jobs=%d)...@." jobs;
-    let rows, t =
-      Ba_harness.Timing.time (fun () -> Ba_harness.Runner.run_all ~executor ())
-    in
+    let t0 = Ba_obs.Mono.now_ns () in
+    let rows = Ba_harness.Runner.run_all ~executor () in
+    let t = Ba_obs.Mono.since_s t0 in
     (* the wall-clock line BENCH_*.json tracks for the parallel win *)
     Fmt.pf eppf "suite wall-clock: %.2fs at jobs=%d@." t jobs;
     rows
@@ -175,11 +175,12 @@ let () =
       "running the SPEC95-style extension suite (5 benchmarks x 2 data sets, \
        jobs=%d)...@."
       jobs;
-    let rows95, t95 =
-      Ba_harness.Timing.time (fun () ->
-          Ba_harness.Runner.run_all ~executor
-            ~workloads:Ba_workloads.Workload95.all ())
+    let t0 = Ba_obs.Mono.now_ns () in
+    let rows95 =
+      Ba_harness.Runner.run_all ~executor
+        ~workloads:Ba_workloads.Workload95.all ()
     in
+    let t95 = Ba_obs.Mono.since_s t0 in
     Fmt.pf eppf "spec95 wall-clock: %.2fs at jobs=%d@." t95 jobs;
     Fmt.pf ppf "@.";
     Ba_harness.Tables.table1 ppf rows95;
@@ -252,15 +253,13 @@ let () =
     in
     let total config =
       let cost = ref 0 in
-      let _, t =
-        Ba_harness.Timing.time (fun () ->
-            List.iter
-              (fun (_, inst) ->
-                let r = Ba_align.Tsp_align.solve_instance ~config inst in
-                cost := !cost + r.Ba_align.Tsp_align.cost)
-              instances)
-      in
-      (!cost, t)
+      let t0 = Ba_obs.Mono.now_ns () in
+      List.iter
+        (fun (_, inst) ->
+          let r = Ba_align.Tsp_align.solve_instance ~config inst in
+          cost := !cost + r.Ba_align.Tsp_align.cost)
+        instances;
+      (!cost, Ba_obs.Mono.since_s t0)
     in
     let base = { Ba_align.Tsp_align.default with exact_below = 0 } in
     let variants =

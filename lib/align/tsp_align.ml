@@ -36,8 +36,7 @@ type result = {
 }
 
 let budget_of_config (config : config) =
-  Budget.create ?deadline_ms:config.solver.Iterated.deadline_ms
-    ?max_moves:config.solver.Iterated.max_moves ()
+  Budget.create ?deadline_ms:config.solver.Iterated.deadline_ms ()
 
 (** [solve_instance ?config ?rng ?budget inst] solves a pre-built
     reduction instance (lets callers time matrix construction and

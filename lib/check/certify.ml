@@ -2,13 +2,14 @@
 
     [certify] re-verifies a produced layout from first principles,
     deliberately sharing no code with the solver path in {!Ba_align}:
-    it rebuilds the DTSP edge weights directly from
-    {!Ba_machine.Model.edge_cost} — materializing its own dense matrix
-    through the {!Ba_tsp.Dtsp.make} fallback rather than reusing
-    {!Ba_align.Reduction}'s sparse emission, so every certificate also
-    cross-checks the sparse cost core against an independently built
-    instance — and re-derives every property the paper's reduction
-    promises.  A certificate attests that:
+    it rebuilds the DTSP instance itself from
+    {!Ba_machine.Model.edge_cost} ({!dtsp_of_sparse}: per block, the
+    fall-off cost as the row default and its CFG successors as the only
+    deviations) rather than reusing {!Ba_align.Reduction}'s emission,
+    and re-derives every property the paper's reduction promises.  The
+    dense O(n²) build {!dtsp_of} stays as the reference that instance
+    is tested against; the certifier itself uses the sparse build at
+    every size.  A certificate attests that:
 
     - the layout is a permutation of the procedure's blocks with the
       entry first (a Hamiltonian walk of the reduction's cities);
@@ -172,10 +173,6 @@ let dtsp_of (m : Model.t) (cfg : Cfg.t) ~(profile : Profile.proc) :
   in
   (Dtsp.make cost, dummy)
 
-(** Largest procedure still certified against the dense independently
-    built matrix; above it {!dtsp_of_sparse} takes over. *)
-let dense_instance_threshold = 512
-
 (** The same logical instance as {!dtsp_of}, built sparsely in O(n + E)
     instead of O(n²).  Sound because {!Ba_machine.Model.edge_cost}
     scores a layout successor that is not a CFG successor exactly like
@@ -264,8 +261,7 @@ let check_sym (sym : Sym.t) (stour : int array) : (int array, error) result =
 
 (** Certify one procedure's layout.  [claimed] is the solver-reported
     cost to cross-check; [hk] selects the lower-bound source;
-    [sym_check] (default on) exercises the DTSP → STSP round-trip,
-    which costs an O(n²) matrix build. *)
+    [sym_check] (default on) exercises the DTSP → STSP round-trip. *)
 let proc_cert ?claimed ?(hk = Skip) ?(sym_check = true) ~proc
     (m : Model.t) (cfg : Cfg.t) ~(profile : Profile.proc)
     ~(order : Layout.order) : (proc_cert, error) result =
@@ -299,17 +295,7 @@ let proc_cert ?claimed ?(hk = Skip) ?(sym_check = true) ~proc
             | Some c when c <> cost ->
                 fail (Cost_mismatch { claimed = c; recomputed = cost })
             | _ -> (
-                (* small procedures keep the dense independent build
-                   (its own cross-check of the sparse core); at
-                   whole-program scale the O(n²) matrix is unpayable
-                   and the sparse construction of the same logical
-                   instance takes over *)
-                let dtsp =
-                  lazy
-                    (if n <= dense_instance_threshold then
-                       dtsp_of m cfg ~profile
-                     else dtsp_of_sparse m cfg ~profile)
-                in
+                let dtsp = lazy (dtsp_of_sparse m cfg ~profile) in
                 let sym_result =
                   if not sym_check then Ok false
                   else begin

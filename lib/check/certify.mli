@@ -56,7 +56,8 @@ val recompute_cost :
   int
 
 (** Rebuild the reduction's DTSP instance (with its dummy city index)
-    directly from {!Ba_machine.Cost.edge_cost}. *)
+    directly from {!Ba_machine.Cost.edge_cost}, as a dense O(n²) scan:
+    the reference {!dtsp_of_sparse} is tested against. *)
 val dtsp_of :
   Ba_machine.Model.t ->
   Cfg.t ->
@@ -66,8 +67,8 @@ val dtsp_of :
 (** The same logical instance as {!dtsp_of}, built sparsely in O(n + E):
     a non-successor layout successor costs exactly like [None] under
     every objective, so rows deviate from that default only at the CFG
-    successors.  Certifies 10⁵-block procedures without an O(n²)
-    matrix; equivalence with {!dtsp_of} is asserted in the tests. *)
+    successors.  The instance {!proc_cert} certifies against, at every
+    size; equivalence with {!dtsp_of} is asserted in the tests. *)
 val dtsp_of_sparse :
   Ba_machine.Model.t ->
   Cfg.t ->
@@ -82,7 +83,7 @@ val check_sym : Ba_tsp.Sym.t -> int array -> (int array, error) result
 
 (** Certify one procedure's layout.  [claimed] cross-checks the
     solver-reported cost; [sym_check] (default on) exercises the
-    DTSP → STSP round-trip (O(n²) matrix build). *)
+    DTSP → STSP round-trip. *)
 val proc_cert :
   ?claimed:int ->
   ?hk:hk_mode ->

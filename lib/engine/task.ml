@@ -8,48 +8,26 @@
     - its own {!Random.State}, derived from the pipeline seed and the
       task id only (never from scheduling), so randomized stages make
       the same draws no matter which domain runs them or in what order;
-    - a stage clock that accumulates {!Ba_obs.Mono} seconds into a
-      {e task-local} record, returned in the task's {!outcome} — tasks
-      never write shared timing state, the caller merges after the
-      join.
+    - its own {!Ba_obs.Span} buffer, returned in the task's {!outcome}:
+      every stage runs inside a span, so stage seconds are span totals
+      the caller sums after the join — tasks never write shared timing
+      state.
 
     Tasks must not mutate anything reachable from another task; under
     that contract {!run_all} produces identical outcomes (modulo the
-    measured seconds) on every {!Executor.t}. *)
+    measured spans) on every {!Executor.t}. *)
 
-(** Pipeline stages a task may charge time to, mirroring the classic
+(** Pipeline stages a task may open a span for, mirroring the classic
     per-procedure aligner pipeline. *)
 type stage = Build | Solve | Realize | Verify
 
-(** Seconds spent per stage, immutable; one value per task. *)
-type stages = {
-  build_s : float;  (** reduction / instance construction *)
-  solve_s : float;  (** the search itself *)
-  realize_s : float;  (** tour/order → realized layout *)
-  verify_s : float;  (** semantic checks on the result *)
-}
-
-let no_stages = { build_s = 0.; solve_s = 0.; realize_s = 0.; verify_s = 0. }
-
-(** Pure merge of two stage records (used index-order after the join). *)
-let add_stages a b =
-  {
-    build_s = a.build_s +. b.build_s;
-    solve_s = a.solve_s +. b.solve_s;
-    realize_s = a.realize_s +. b.realize_s;
-    verify_s = a.verify_s +. b.verify_s;
-  }
-
-let sum_stages l = List.fold_left add_stages no_stages l
-
 (* ------------------------------------------------------------------ *)
 
-(** The per-task execution context: the seeded RNG, the task-local
-    stage clock, and the task's span buffer (single-writer; disabled —
-    a no-op — unless tracing is on, see {!Ba_obs.Trace}). *)
+(** The per-task execution context: the seeded RNG and the task's span
+    buffer (single-writer; exported only when tracing is on, see
+    {!Ba_obs.Trace}). *)
 type ctx = {
   rng : Random.State.t;
-  mutable acc : stages;  (** task-local; never shared across tasks *)
   span_buf : Ba_obs.Span.buf;  (** task-local, lock-free by ownership *)
 }
 
@@ -62,22 +40,9 @@ let stage_name = function
   | Realize -> "realize"
   | Verify -> "verify"
 
-(** [staged ctx stage f] runs [f ()] charging its elapsed Mono time to
-    [stage] in the task-local record, and — when tracing is enabled —
-    recording one span named after the stage. *)
-let staged ctx stage f =
-  Ba_obs.Span.with_span ctx.span_buf (stage_name stage) (fun () ->
-      let t0 = Ba_obs.Mono.now_ns () in
-      let finally () =
-        let dt = Ba_obs.Mono.since_s t0 in
-        ctx.acc <-
-          (match stage with
-          | Build -> { ctx.acc with build_s = ctx.acc.build_s +. dt }
-          | Solve -> { ctx.acc with solve_s = ctx.acc.solve_s +. dt }
-          | Realize -> { ctx.acc with realize_s = ctx.acc.realize_s +. dt }
-          | Verify -> { ctx.acc with verify_s = ctx.acc.verify_s +. dt })
-      in
-      Fun.protect ~finally f)
+(** [staged ctx stage f] runs [f ()] inside one span named after the
+    stage. *)
+let staged ctx stage f = Ba_obs.Span.with_span ctx.span_buf (stage_name stage) f
 
 (* ------------------------------------------------------------------ *)
 
@@ -113,36 +78,32 @@ type 'a outcome = {
   id : int;
   label : string;
   value : 'a;
-  stages : stages;  (** per-task stage seconds (task-local, merged after join) *)
-  elapsed_s : float;  (** total elapsed seconds of the task (Mono clock) *)
+  elapsed_s : float;  (** duration of the root ["task"] span *)
   spans : Ba_obs.Span.span array;
-      (** the task's completed spans (empty unless tracing is on) *)
+      (** the task's completed spans, the root ["task"] span first *)
 }
 
-(** [run_one ~seed task] executes one task on the calling domain.  With
-    tracing on, the whole task body runs inside a root span named
-    ["task"], so stage spans nest under it in the trace viewer. *)
+(** [run_one ~seed task] executes one task on the calling domain.  The
+    whole task body runs inside a root span named ["task"], so stage
+    spans nest under it and its duration is the task's elapsed time. *)
 let run_one ~seed (t : 'a t) : 'a outcome =
-  let span_buf =
-    Ba_obs.Span.create ~task:t.id ~enabled:(Ba_obs.Trace.enabled ())
-  in
-  let ctx = { rng = seed_rng ~seed ~id:t.id; acc = no_stages; span_buf } in
-  let t0 = Ba_obs.Mono.now_ns () in
+  let span_buf = Ba_obs.Span.create ~task:t.id in
+  let ctx = { rng = seed_rng ~seed ~id:t.id; span_buf } in
   let value = Ba_obs.Span.with_span span_buf "task" (fun () -> t.run ctx) in
+  let spans = Ba_obs.Span.spans span_buf in
   {
     id = t.id;
     label = t.label;
     value;
-    stages = ctx.acc;
-    elapsed_s = Ba_obs.Mono.since_s t0;
-    spans = Ba_obs.Span.spans span_buf;
+    elapsed_s = Ba_obs.Span.duration_s spans.(0);
+    spans;
   }
 
 (** [run_all ?seed exec tasks] executes every task under [exec] and
     returns the outcomes in input order (deterministic merge by
-    position, regardless of which domain finished first).  After the
-    join, each task's span buffer is handed to the global trace in
-    index order, so trace groups are scheduling-independent too. *)
+    position, regardless of which domain finished first).  With tracing
+    on, each task's spans are handed to the global trace after the join
+    in index order, so trace groups are scheduling-independent too. *)
 let run_all ?(seed = 0) (exec : Executor.t) (tasks : 'a t array) :
     'a outcome array =
   let outcomes =

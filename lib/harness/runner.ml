@@ -10,8 +10,9 @@
       lower bound;
     - full-machine simulated cycle counts (penalties + I-cache) for the
       original, greedy and TSP programs under both training regimes;
-    - per-stage wall-clock timings (Table 2) and the distribution of
-      per-procedure TSP solve times (pool load-imbalance view).
+    - per-stage timings (Table 2), totals over the row's spans, and the
+      distribution of per-procedure TSP solve times (pool
+      load-imbalance view).
 
     Every benchmark × data-set row is an independent {!Ba_engine.Task}:
     {!run_all} fans rows out over a pluggable executor and merges them
@@ -86,61 +87,49 @@ let default =
     hk = Ba_tsp.Held_karp.default;
   }
 
-(** Align every procedure with the TSP method, timing matrix construction
-    and each solve separately.  Returns the orders, exact/timeout counts,
-    the two stage timings and the list of per-procedure solve times. *)
-let tsp_align_program (cfg : config) cfgs ~train =
+(** Align every procedure with the TSP method, each procedure's matrix
+    construction and solve in their own ["matrix"] and ["solve"] spans.
+    Returns the orders and the exact/timeout counts. *)
+let tsp_align_program (cfg : config) spans cfgs ~train =
+  let sp name f = Ba_obs.Span.with_span spans name f in
   let n_exact = ref 0 and n_timeouts = ref 0 in
-  let matrix_s = ref 0. and solve_s = ref 0. and solve_times = ref [] in
   let orders =
     Array.mapi
       (fun fid g ->
-        let inst, mt =
-          Timing.time (fun () ->
+        let inst =
+          sp "matrix" (fun () ->
               Reduction.build cfg.model g ~profile:(Profile.proc train fid))
         in
-        matrix_s := !matrix_s +. mt;
-        let r, sv =
-          Timing.time (fun () -> Tsp_align.solve_instance ~config:cfg.tsp inst)
+        let r =
+          sp "solve" (fun () -> Tsp_align.solve_instance ~config:cfg.tsp inst)
         in
-        solve_s := !solve_s +. sv;
-        solve_times := sv :: !solve_times;
         if r.Tsp_align.exact then incr n_exact;
         if r.Tsp_align.degraded <> None then incr n_timeouts;
         r.Tsp_align.order)
       cfgs
   in
-  (orders, !n_exact, !n_timeouts, !matrix_s, !solve_s, List.rev !solve_times)
+  (orders, !n_exact, !n_timeouts)
 
-(** Realize a program from pre-computed orders; returns the aligned
-    program and the elapsed seconds (charged by the caller). *)
+(** Realize a program from pre-computed orders. *)
 let realize_program (cfg : config) cfgs orders ~train =
-  Timing.time (fun () ->
-      (* Driver.align re-runs the aligner; realize directly instead *)
-      let realized = Array.make (Array.length cfgs) None in
-      let predicted =
-        Array.mapi
-          (fun fid g ->
-            let r, pred =
-              Evaluate.realize cfg.model g ~order:orders.(fid)
-                ~train:(Profile.proc train fid)
-            in
-            realized.(fid) <- Some r;
-            pred)
-          cfgs
-      in
-      let realized = Array.map Option.get realized in
-      let addr =
-        Ba_machine.Addr.build (Array.map2 (fun g r -> (g, r)) cfgs realized)
-      in
-      {
-        Driver.cfgs;
-        orders;
-        realized;
-        predicted;
-        addr;
-        method_ = Driver.Original;
-      })
+  (* Driver.align re-runs the aligner; realize directly instead *)
+  let realized = Array.make (Array.length cfgs) None in
+  let predicted =
+    Array.mapi
+      (fun fid g ->
+        let r, pred =
+          Evaluate.realize cfg.model g ~order:orders.(fid)
+            ~train:(Profile.proc train fid)
+        in
+        realized.(fid) <- Some r;
+        pred)
+      cfgs
+  in
+  let realized = Array.map Option.get realized in
+  let addr =
+    Ba_machine.Addr.build (Array.map2 (fun g r -> (g, r)) cfgs realized)
+  in
+  { Driver.cfgs; orders; realized; predicted; addr; method_ = Driver.Original }
 
 (** [measure cfg aligned ~test_profile ~run] evaluates one aligned
     program against the testing workload. *)
@@ -169,31 +158,29 @@ let measure (cfg : config) (aligned : Driver.aligned) ~test_profile ~run :
     one benchmark on testing data set [test] (training on [test] for
     the self rows and on the sibling set for the cross rows).  Pure up
     to the wall clock: safe to run concurrently with other benchmarks.
-    [spans] (default: disabled) receives one span per pipeline phase
-    when tracing is on. *)
-let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.null)
+    Every pipeline phase runs in a span of [spans] (default: a fresh
+    buffer), and the row's stage timings are {!Timing.of_spans} over
+    that buffer — so it must hold no other row's spans. *)
+let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.create ~task:0)
     (w : Workload.t) ~(test : Workload.dataset) : row =
   let sp name f = Ba_obs.Span.with_span spans name f in
-  let compiled, compile_s =
-    sp "compile" (fun () -> Timing.time (fun () -> Workload.compile w))
-  in
+  let compiled = sp "compile" (fun () -> Workload.compile w) in
   let cfgs = compiled.Ba_minic.Compile.cfgs in
   let train_ds = Workload.sibling w test in
   let run_input input sink =
     ignore (Ba_minic.Compile.run compiled ~input ~sink)
   in
   let run_test = run_input test.Workload.input in
-  let test_profile, profile_s =
+  let test_profile =
     sp "profile" (fun () ->
-        Timing.time (fun () ->
-            Ba_minic.Compile.profile compiled ~input:test.Workload.input))
+        Ba_minic.Compile.profile compiled ~input:test.Workload.input)
   in
   let cross_profile =
     sp "profile-cross" (fun () ->
         Ba_minic.Compile.profile compiled ~input:train_ds.Workload.input)
   in
   (* ---- layouts ---- *)
-  let original, _ =
+  let original =
     realize_program config cfgs
       (Array.map Ba_cfg.Layout.identity cfgs)
       ~train:test_profile
@@ -203,17 +190,18 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.null)
       (fun fid g -> Greedy.align g ~profile:(Profile.proc train fid))
       cfgs
   in
-  let greedy_self_orders, greedy_align_s =
-    sp "greedy" (fun () -> Timing.time (fun () -> greedy_orders_of test_profile))
+  let greedy_self_orders =
+    sp "greedy" (fun () -> greedy_orders_of test_profile)
   in
-  let greedy_self, greedy_realize_s =
+  let greedy_self =
     sp "realize-greedy" (fun () ->
         realize_program config cfgs greedy_self_orders ~train:test_profile)
   in
-  let tsp_self_orders, n_exact, n_timeouts, matrix_s, solve_s, solve_times =
-    sp "tsp-self" (fun () -> tsp_align_program config cfgs ~train:test_profile)
+  let tsp_self_orders, n_exact, n_timeouts =
+    sp "tsp-self" (fun () ->
+        tsp_align_program config spans cfgs ~train:test_profile)
   in
-  let tsp_self, tsp_program_s =
+  let tsp_self =
     sp "realize-tsp" (fun () ->
         realize_program config cfgs tsp_self_orders ~train:test_profile)
   in
@@ -228,7 +216,7 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.null)
         Calder.align config.model g ~profile:(Profile.proc test_profile fid))
       cfgs
   in
-  let calder_self, _ =
+  let calder_self =
     realize_program config cfgs calder_self_orders ~train:test_profile
   in
   let btfnt_self_orders =
@@ -237,18 +225,19 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.null)
         Btfnt.align config.model g ~profile:(Profile.proc test_profile fid))
       cfgs
   in
-  let btfnt_self, _ =
+  let btfnt_self =
     realize_program config cfgs btfnt_self_orders ~train:test_profile
   in
   let greedy_cross_orders = greedy_orders_of cross_profile in
-  let greedy_cross, _ =
+  let greedy_cross =
     sp "greedy-cross" (fun () ->
         realize_program config cfgs greedy_cross_orders ~train:cross_profile)
   in
-  let tsp_cross_orders, _, _, _, _, _ =
-    sp "tsp-cross" (fun () -> tsp_align_program config cfgs ~train:cross_profile)
+  let tsp_cross_orders, _, _ =
+    sp "tsp-cross" (fun () ->
+        tsp_align_program config spans cfgs ~train:cross_profile)
   in
-  let tsp_cross, _ =
+  let tsp_cross =
     sp "realize-tsp-cross" (fun () ->
         realize_program config cfgs tsp_cross_orders ~train:cross_profile)
   in
@@ -260,15 +249,15 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.null)
     sp "profile-static" (fun () -> Ba_analysis.Estimate.program cfgs)
   in
   let greedy_static_orders = greedy_orders_of static_profile in
-  let greedy_static, _ =
+  let greedy_static =
     sp "greedy-static" (fun () ->
         realize_program config cfgs greedy_static_orders ~train:static_profile)
   in
-  let tsp_static_orders, _, _, _, _, _ =
+  let tsp_static_orders, _, _ =
     sp "tsp-static" (fun () ->
-        tsp_align_program config cfgs ~train:static_profile)
+        tsp_align_program config spans cfgs ~train:static_profile)
   in
-  let tsp_static, _ =
+  let tsp_static =
     sp "realize-tsp-static" (fun () ->
         realize_program config cfgs tsp_static_orders ~train:static_profile)
   in
@@ -304,25 +293,24 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.null)
       order;
     !c
   in
-  let (bound, proc_bounds, proc_uppers), bounds_s =
+  let bound, proc_bounds, proc_uppers =
     sp "bounds" (fun () ->
-        Timing.time (fun () ->
-            let total = ref 0 in
-            let bounds = Array.make (Array.length cfgs) 0 in
-            let uppers = Array.make (Array.length cfgs) 0 in
-            Array.iteri
-              (fun fid g ->
-                let prof = Profile.proc test_profile fid in
-                let upper = objective_cost fid tsp_self_orders.(fid) in
-                let b =
-                  Bounds.held_karp ~config:config.hk config.model g
-                    ~profile:prof ~upper
-                in
-                bounds.(fid) <- b;
-                uppers.(fid) <- upper;
-                total := !total + b)
-              cfgs;
-            (!total, bounds, uppers)))
+        let total = ref 0 in
+        let bounds = Array.make (Array.length cfgs) 0 in
+        let uppers = Array.make (Array.length cfgs) 0 in
+        Array.iteri
+          (fun fid g ->
+            let prof = Profile.proc test_profile fid in
+            let upper = objective_cost fid tsp_self_orders.(fid) in
+            let b =
+              Bounds.held_karp ~config:config.hk config.model g ~profile:prof
+                ~upper
+            in
+            bounds.(fid) <- b;
+            uppers.(fid) <- upper;
+            total := !total + b)
+          cfgs;
+        (!total, bounds, uppers))
   in
   (* ---- certificates: independently re-verify every produced layout
      of this row ({!Ba_check.Certify}).  The self-trained TSP layout
@@ -364,18 +352,8 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.null)
     Ba_obs.Metrics.observe_hk_gap
       (Float.max 0.
          (float_of_int (tsp_self_m.penalty - bound) /. float_of_int bound));
-  (* per-stage timings, merged from the immutable pieces *)
-  let stages =
-    {
-      Timing.compile_s;
-      profile_s;
-      greedy_s = greedy_align_s +. greedy_realize_s;
-      matrix_s;
-      solve_s;
-      tsp_program_s;
-      bounds_s;
-    }
-  in
+  (* per-stage timings: totals over the spans this row recorded *)
+  let stages, solve_dist = Timing.of_spans (Ba_obs.Span.spans spans) in
   (* ---- table 1 statistics ---- *)
   let sites = Array.fold_left (fun acc g -> acc + Ba_cfg.Cfg.n_branch_sites g) 0 cfgs in
   let touched = ref 0 and executed = ref 0 in
@@ -409,7 +387,7 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.null)
     certs = !certs;
     cert_failures = !cert_failures;
     stages;
-    solve_dist = Timing.dist_of solve_times;
+    solve_dist;
   }
 
 (** [run_all_outcomes ?config ?executor ?workloads ()] runs the
@@ -417,7 +395,7 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.null)
     (default: the SPEC92 stand-ins, in Table 1 order; pass
     [Ba_workloads.Workload95.all] for the SPEC95 extension suite).
     Rows fan out over [executor] (default sequential) and come back in
-    suite order as full task outcomes (row + wall-clock + spans); the
+    suite order as full task outcomes (row + elapsed time + spans); the
     measured numbers are identical at any job count. *)
 let run_all_outcomes ?(config = default) ?(executor = Executor.Seq)
     ?(workloads = Workload.all) () : row Task.outcome list =

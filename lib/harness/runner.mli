@@ -62,8 +62,10 @@ val default : config
 
 (** Run the full experiment for one benchmark on one testing data set.
     Pure up to the wall clock: safe to run concurrently with other
-    benchmarks.  [spans] (default: disabled) receives one span per
-    pipeline phase when tracing is on. *)
+    benchmarks.  Every pipeline phase runs in a span of [spans]
+    (default: a fresh buffer); the row's [stages] and [solve_dist] are
+    {!Timing.of_spans} over that buffer, so it must hold no other
+    row's spans. *)
 val run_benchmark :
   ?config:config ->
   ?spans:Ba_obs.Span.buf ->

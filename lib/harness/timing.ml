@@ -1,21 +1,14 @@
 (** Stage timing for the Table 2 reproduction.
 
-    [stages] is immutable: every pipeline stage produces its own value
-    and the caller combines them with the pure {!add}/{!merge} — there
-    is no shared record for concurrent tasks to race on, so rows
-    produced by a parallel runner carry exactly the timings of their
-    own stages (merged after the join). *)
-
-(** [time f] runs [f ()] and returns its result with the seconds it
-    took on the {!Ba_obs.Mono} clock. *)
-let time f =
-  let t0 = Ba_obs.Mono.now_ns () in
-  let r = f () in
-  (r, Ba_obs.Mono.since_s t0)
+    A benchmark row runs its phases inside {!Ba_obs.Span} spans and
+    nothing else reads the clock: {!of_spans} turns the row's spans into
+    the seven Table 2 columns and the solve-time distribution after the
+    fact.  Each row owns its span buffer, so rows produced by a
+    parallel runner carry exactly the timings of their own stages. *)
 
 (** Stage timings of one benchmark compilation+alignment pipeline,
     mirroring the paper's Table 2 columns (see EXPERIMENTS.md for the
-    mapping).  Immutable — combine with {!add}. *)
+    mapping). *)
 type stages = {
   compile_s : float;  (** source → IR + CFG shapes *)
   profile_s : float;  (** training profiling run *)
@@ -25,35 +18,6 @@ type stages = {
   tsp_program_s : float;  (** tour → layout + realization *)
   bounds_s : float;  (** Held–Karp lower bounds (analysis only) *)
 }
-
-let zero =
-  {
-    compile_s = 0.;
-    profile_s = 0.;
-    greedy_s = 0.;
-    matrix_s = 0.;
-    solve_s = 0.;
-    tsp_program_s = 0.;
-    bounds_s = 0.;
-  }
-
-(** Pure component-wise sum: [add a b] is the combined timing of the
-    two (sub-)pipelines. *)
-let add a b =
-  {
-    compile_s = a.compile_s +. b.compile_s;
-    profile_s = a.profile_s +. b.profile_s;
-    greedy_s = a.greedy_s +. b.greedy_s;
-    matrix_s = a.matrix_s +. b.matrix_s;
-    solve_s = a.solve_s +. b.solve_s;
-    tsp_program_s = a.tsp_program_s +. b.tsp_program_s;
-    bounds_s = a.bounds_s +. b.bounds_s;
-  }
-
-(** [merge l] sums a list of per-task timings, in order. *)
-let merge l = List.fold_left add zero l
-
-(* ------------------------------------------------------------------ *)
 
 (** A summary of a sample of per-task durations — enough to see the
     pool's load imbalance (one slow procedure dominating a domain). *)
@@ -86,3 +50,38 @@ let dist_of = function
         p95_s = rank 0.95;
         max_s = a.(n - 1);
       }
+
+(** [of_spans spans] sums the row's spans into the Table 2 columns.
+    Only the self-trained TSP pass counts towards [matrix_s] and
+    [solve_s]: the cross and static passes, and the aligner's own
+    ["solve"] stage spans, open spans of the same names elsewhere. *)
+let of_spans (spans : Ba_obs.Span.span array) : stages * dist =
+  let names = Hashtbl.create (Array.length spans) in
+  Array.iter (fun (s : Ba_obs.Span.span) -> Hashtbl.replace names s.id s.name) spans;
+  let under_tsp_self (s : Ba_obs.Span.span) =
+    Hashtbl.find_opt names s.parent = Some "tsp-self"
+  in
+  let total keep =
+    Array.fold_left
+      (fun acc s -> if keep s then acc +. Ba_obs.Span.duration_s s else acc)
+      0. spans
+  in
+  let named n (s : Ba_obs.Span.span) = s.name = n in
+  let self_tsp n s = named n s && under_tsp_self s in
+  let stages =
+    {
+      compile_s = total (named "compile");
+      profile_s = total (named "profile");
+      greedy_s = total (named "greedy") +. total (named "realize-greedy");
+      matrix_s = total (self_tsp "matrix");
+      solve_s = total (self_tsp "solve");
+      tsp_program_s = total (named "realize-tsp");
+      bounds_s = total (named "bounds");
+    }
+  in
+  let solves =
+    Array.to_list spans
+    |> List.filter (self_tsp "solve")
+    |> List.map Ba_obs.Span.duration_s
+  in
+  (stages, dist_of solves)

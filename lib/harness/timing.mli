@@ -1,11 +1,6 @@
-(** Stage timing for the Table 2 reproduction.  [stages] is
-    immutable; tasks return their own values and the caller combines
-    them with the pure {!add}/{!merge} after the join — nothing for
-    concurrent pipeline stages to race on. *)
-
-(** Run a thunk, returning its result and elapsed seconds on the
-    {!Ba_obs.Mono} clock. *)
-val time : (unit -> 'a) -> 'a * float
+(** Stage timing for the Table 2 reproduction: the columns are totals
+    over the spans one benchmark row records ({!Ba_obs.Span}), computed
+    by the pure {!of_spans} — no stage reads the clock itself. *)
 
 (** Stage timings of one benchmark pipeline (Table 2 columns). *)
 type stages = {
@@ -17,14 +12,6 @@ type stages = {
   tsp_program_s : float;
   bounds_s : float;
 }
-
-val zero : stages
-
-(** Pure component-wise sum. *)
-val add : stages -> stages -> stages
-
-(** Sum a list of per-task timings, in order. *)
-val merge : stages list -> stages
 
 (** Summary of a sample of per-task durations (seconds): the pool's
     load-imbalance view. *)
@@ -39,3 +26,13 @@ type dist = {
 val empty_dist : dist
 
 val dist_of : float list -> dist
+
+(** [of_spans spans] is the Table 2 columns and the self-trained solve
+    time distribution of one row, from its spans:
+    - [compile_s], [profile_s], [tsp_program_s], [bounds_s]: the
+      ["compile"], ["profile"], ["realize-tsp"] and ["bounds"] spans;
+    - [greedy_s]: ["greedy"] + ["realize-greedy"];
+    - [matrix_s], [solve_s] and the distribution: the ["matrix"] and
+      ["solve"] spans whose parent is a ["tsp-self"] span (one of each
+      per procedure); every other ["solve"] span is ignored. *)
+val of_spans : Ba_obs.Span.span array -> stages * dist

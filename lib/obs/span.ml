@@ -5,12 +5,14 @@
     enclosing span.  Each task owns exactly one {!buf}; a buffer is
     only ever written by the domain running its task, so recording is
     lock-free by construction.  After the task joins, the caller reads
-    the buffer out as an immutable array ({!spans}) and merges buffers
-    deterministically by task index (see {!Trace}).
+    the buffer out as an immutable array ({!spans}): stage timings are
+    totals over it, and with tracing on it is also merged into the
+    trace by task index (see {!Trace}).
 
-    A disabled buffer records nothing: {!with_span} costs one branch
-    and calls the thunk directly, which is what keeps the default
-    (null-sink) build bit-identical to a build without observability. *)
+    Every buffer records.  A span is two clock readings and one small
+    record, and spans open per pipeline stage, never inside a solver
+    loop; recording changes no computed value, so null-sink output
+    does not depend on it. *)
 
 type span = {
   id : int;  (** per-task open order, 0-based *)
@@ -23,38 +25,28 @@ type span = {
 
 type buf = {
   task : int;
-  enabled : bool;
   mutable next_id : int;
   mutable stack : int list;  (** ids of currently open spans *)
   mutable closed : span list;  (** completed spans, most recent first *)
 }
 
-let create ~task ~enabled = { task; enabled; next_id = 0; stack = []; closed = [] }
-
-(** The shared disabled buffer, for callers with nothing to trace. *)
-let null = create ~task:(-1) ~enabled:false
-
-let enabled buf = buf.enabled
+let create ~task = { task; next_id = 0; stack = []; closed = [] }
 
 (** [with_span buf name f] runs [f ()] inside a span named [name];
-    the span closes (and is recorded) even if [f] raises.  On a
-    disabled buffer this is exactly [f ()]. *)
+    the span closes (and is recorded) even if [f] raises. *)
 let with_span buf name f =
-  if not buf.enabled then f ()
-  else begin
-    let id = buf.next_id in
-    buf.next_id <- id + 1;
-    let parent = match buf.stack with [] -> -1 | p :: _ -> p in
-    buf.stack <- id :: buf.stack;
-    let start_ns = Mono.now_ns () in
-    let finally () =
-      let stop_ns = Mono.now_ns () in
-      buf.stack <- List.tl buf.stack;
-      buf.closed <-
-        { id; parent; task = buf.task; name; start_ns; stop_ns } :: buf.closed
-    in
-    Fun.protect ~finally f
-  end
+  let id = buf.next_id in
+  buf.next_id <- id + 1;
+  let parent = match buf.stack with [] -> -1 | p :: _ -> p in
+  buf.stack <- id :: buf.stack;
+  let start_ns = Mono.now_ns () in
+  let finally () =
+    let stop_ns = Mono.now_ns () in
+    buf.stack <- List.tl buf.stack;
+    buf.closed <-
+      { id; parent; task = buf.task; name; start_ns; stop_ns } :: buf.closed
+  in
+  Fun.protect ~finally f
 
 (** Completed spans in open order (the immutable read-out). *)
 let spans buf : span array =
@@ -63,3 +55,4 @@ let spans buf : span array =
   a
 
 let duration_ns s = Int64.sub s.stop_ns s.start_ns
+let duration_s s = Int64.to_float (duration_ns s) /. 1e9

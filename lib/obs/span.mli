@@ -1,6 +1,6 @@
 (** Per-task span buffers: named intervals on the observability clock,
-    single-writer while the task runs, immutable after the join.  A
-    disabled buffer records nothing and costs one branch per span. *)
+    single-writer while the task runs, immutable after the join.  Every
+    buffer records; the spans are the one source of stage timings. *)
 
 type span = {
   id : int;  (** per-task open order, 0-based *)
@@ -13,19 +13,17 @@ type span = {
 
 type buf
 
-(** [create ~task ~enabled] is a fresh empty buffer owned by [task]. *)
-val create : task:int -> enabled:bool -> buf
-
-(** The shared disabled buffer, for callers with nothing to trace. *)
-val null : buf
-
-val enabled : buf -> bool
+(** [create ~task] is a fresh empty buffer owned by [task]. *)
+val create : task:int -> buf
 
 (** [with_span buf name f] runs [f ()] inside a span named [name]; the
-    span closes even if [f] raises.  Disabled buffer: exactly [f ()]. *)
+    span closes even if [f] raises. *)
 val with_span : buf -> string -> (unit -> 'a) -> 'a
 
 (** Completed spans in open order. *)
 val spans : buf -> span array
 
 val duration_ns : span -> int64
+
+(** The span's duration in seconds. *)
+val duration_s : span -> float

@@ -3,7 +3,9 @@
     [trace_event] JSON (load it in [chrome://tracing] or Perfetto).
 
     Tracing is off by default; {!set_enabled} is flipped once at
-    startup by the CLI when [--trace] is given.  Task buffers arrive
+    startup by the CLI when [--trace] is given.  It decides only
+    whether joined spans are exported: every task buffer records, since
+    stage timings are span totals.  Task buffers arrive
     via {!add_task}, called by the engine {e after} the join in task
     index order — each [run_all] fan-out contributes one contiguous
     block of groups, so the group sequence is a pure function of the

@@ -4,7 +4,8 @@
 
 type group = { seq : int; task : int; label : string; spans : Span.span array }
 
-(** Flip tracing (read by the engine when creating task span buffers). *)
+(** Flip tracing: whether the engine exports joined tasks' spans here
+    (buffers record either way). *)
 val set_enabled : bool -> unit
 
 val enabled : unit -> bool

@@ -23,7 +23,6 @@ type config = {
   greedy_skip : float;  (** skip probability of randomized greedy starts *)
   seed : int;
   deadline_ms : int option;  (** wall-clock budget per solve; [None] = none *)
-  max_moves : int option;  (** improving-move budget per solve *)
   tour_repr : Tour_repr.kind;
       (** tour representation for the 3-Opt states (trajectory-neutral;
           [Auto] gates on instance size) *)
@@ -39,7 +38,6 @@ let default =
     greedy_skip = 0.1;
     seed = 0x5eed;
     deadline_ms = None;
-    max_moves = None;
     tour_repr = Tour_repr.Auto;
   }
 
@@ -133,19 +131,17 @@ let brute_force (d : Dtsp.t) =
     derived from [config.seed] and the instance), so the solve is
     re-entrant — no global or otherwise shared state is touched, and
     concurrent solves of different instances cannot interfere.  [budget]
-    (defaulting to one built from the config's [deadline_ms]/[max_moves])
-    is polled between improving moves, kicks and restarts; on exhaustion
-    the best tour found so far is returned with [timed_out] set — the
-    first (identity-start) construction always completes, so a valid
-    tour is returned even for a zero budget. *)
-let solve ?(config = default) ?rng ?budget ?initial
-    ?(nbr_exec = Ba_engine.Executor.Seq) (d : Dtsp.t) : int array * stats =
+    (defaulting to one built from the config's [deadline_ms]) is polled
+    between improving moves, kicks and restarts; on exhaustion the best
+    tour found so far is returned with [timed_out] set — the first
+    (identity-start) construction always completes, so a valid tour is
+    returned even for a zero budget. *)
+let solve ?(config = default) ?rng ?budget ?initial (d : Dtsp.t) :
+    int array * stats =
   let budget =
     match budget with
     | Some b -> b
-    | None ->
-        Ba_robust.Budget.create ?deadline_ms:config.deadline_ms
-          ?max_moves:config.max_moves ()
+    | None -> Ba_robust.Budget.create ?deadline_ms:config.deadline_ms ()
   in
   let n = d.Dtsp.n in
   if n <= 3 then begin
@@ -162,7 +158,7 @@ let solve ?(config = default) ?rng ?budget ?initial
       | None -> Random.State.make [| config.seed; n; Dtsp.max_cost d |]
     in
     let s = Sym.of_dtsp d in
-    let nbr = Neighbors.of_sym ~exec:nbr_exec s ~k:config.neighbors in
+    let nbr = Neighbors.of_sym s ~k:config.neighbors in
     let kicks_per_run = min config.max_kicks (config.kick_factor * n) in
     let best_tour = ref None and best_cost = ref max_int in
     let runs_with_best = ref 0 in

@@ -15,7 +15,6 @@ type config = {
   greedy_skip : float;  (** skip probability of greedy starts *)
   seed : int;
   deadline_ms : int option;  (** wall-clock budget per solve *)
-  max_moves : int option;  (** improving-move budget per solve *)
   tour_repr : Tour_repr.kind;
       (** tour representation for the 3-Opt states (trajectory-neutral;
           [Auto] gates on instance size) *)
@@ -50,10 +49,11 @@ val double_bridge : Three_opt.state -> Random.State.t -> int list
     state derived from [config.seed] and the instance) and no shared
     state is touched, so concurrent solves cannot interfere.  Instances
     with n ≤ 3 are enumerated exactly.  The budget (built from the
-    config's [deadline_ms]/[max_moves] when not passed explicitly) is
-    polled between moves, kicks and restarts; on exhaustion the best
-    tour so far is returned with [timed_out] set — a valid tour comes
-    back even under a zero budget.
+    config's [deadline_ms] when not passed explicitly; a move cap
+    arrives only as a [budget]) is polled between moves, kicks and
+    restarts; on exhaustion the best tour so far is returned with
+    [timed_out] set — a valid tour comes back even under a zero
+    budget.
 
     [initial], when given and of the right length, replaces the
     identity start of run 0 with a caller-supplied directed tour (must
@@ -61,16 +61,11 @@ val double_bridge : Three_opt.state -> Random.State.t -> int list
     incremental re-alignment: re-optimizing a previous solution after a
     small profile drift converges in a few moves instead of a full
     search.  The warm tour is re-optimized by the same budgeted 3-Opt,
-    so a warm solve is never weaker than its seed tour.
-
-    [nbr_exec] (default sequential) parallelizes neighbor-list
-    construction on the engine's domain pool; the lists — and hence the
-    whole trajectory — are bit-identical at any job count. *)
+    so a warm solve is never weaker than its seed tour. *)
 val solve :
   ?config:config ->
   ?rng:Random.State.t ->
   ?budget:Ba_robust.Budget.t ->
   ?initial:int array ->
-  ?nbr_exec:Ba_engine.Executor.t ->
   Dtsp.t ->
   int array * stats

@@ -13,7 +13,5 @@
 
 (** [of_sym s ~k] builds, for every symmetric city, its up-to-[k]
     cheapest candidate partners (finite cost, not the locked partner).
-    [k] is clamped to [0..n−1].  [exec] fans row construction out over
-    the engine's domain pool (chunked, merged in index order) — the
-    result is bit-identical at any job count. *)
-val of_sym : ?exec:Ba_engine.Executor.t -> Sym.t -> k:int -> int array array
+    [k] is clamped to [0..n−1]. *)
+val of_sym : Sym.t -> k:int -> int array array

@@ -82,10 +82,8 @@ let seg_splits st = Tour_repr.splits st.repr
     [dont_look] (default on) enables the version-stamp scan skips —
     trajectory-neutral either way.  [repr] (default [Auto]) picks the
     tour representation — trajectory-neutral too, by the position
-    contract of {!Tour_repr}.  [spans] feeds the two-level structure's
-    rebalance spans. *)
-let init ?(dont_look = true) ?(repr = Tour_repr.Auto) ?spans (s : Sym.t) ~nbr
-    ~tour =
+    contract of {!Tour_repr}. *)
+let init ?(dont_look = true) ?(repr = Tour_repr.Auto) (s : Sym.t) ~nbr ~tour =
   let n = s.Sym.nn in
   if Array.length tour <> n then invalid_arg "Three_opt.init: wrong tour size";
   let seen = Array.make n false in
@@ -95,7 +93,7 @@ let init ?(dont_look = true) ?(repr = Tour_repr.Auto) ?spans (s : Sym.t) ~nbr
         invalid_arg "Three_opt.init: not a permutation"
       else seen.(c) <- true)
     tour;
-  let repr = Tour_repr.make ?spans repr ~n_cities:s.Sym.n_cities tour in
+  let repr = Tour_repr.make repr ~n_cities:s.Sym.n_cities tour in
   Ba_obs.Metrics.set_gauge Ba_obs.Metrics.Tsp_repr
     (match Tour_repr.kind_of repr with Tour_repr.Two_level -> 1 | _ -> 0);
   {

@@ -47,13 +47,11 @@ type state = {
 (** Start a search state from a tour (copied).  [dont_look] (default
     [true]) enables the version-stamp scan skips; [repr] (default
     [Auto]) picks the tour representation; both are
-    trajectory-neutral.  [spans] (default disabled) receives the
-    two-level structure's [two_level.rebalance] spans.
+    trajectory-neutral.
     @raise Invalid_argument on malformed tours. *)
 val init :
   ?dont_look:bool ->
   ?repr:Tour_repr.kind ->
-  ?spans:Ba_obs.Span.buf ->
   Sym.t ->
   nbr:int array array ->
   tour:int array ->

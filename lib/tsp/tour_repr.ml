@@ -49,11 +49,10 @@ type flat = {
 
 type t = F of flat | T of Two_level.t
 
-(** [make ?spans kind ~n_cities tour] picks the representation
-    ([n_cities] is the {e directed} city count gating [Auto]) and
-    loads the tour (copied).  [spans] feeds {!Two_level}'s rebalance
-    spans. *)
-let make ?spans kind ~n_cities tour =
+(** [make kind ~n_cities tour] picks the representation ([n_cities] is
+    the {e directed} city count gating [Auto]) and loads the tour
+    (copied). *)
+let make kind ~n_cities tour =
   let use_two_level =
     match kind with
     | Array -> false
@@ -61,7 +60,7 @@ let make ?spans kind ~n_cities tour =
     | Auto -> n_cities > two_level_threshold
   in
   if use_two_level then
-    T (Two_level.create ?spans ~tour (Stdlib.Array.length tour))
+    T (Two_level.create ~tour (Stdlib.Array.length tour))
   else begin
     let n = Stdlib.Array.length tour in
     let fpos = Stdlib.Array.make n (-1) in

@@ -18,11 +18,10 @@ val kind_name : kind -> string
 
 type t
 
-(** [make ?spans kind ~n_cities tour] picks the representation
-    ([n_cities] is the directed city count gating [Auto]; [tour] is
-    position → city, copied).  [spans] (default disabled) feeds the
-    two-level structure's rebalance spans. *)
-val make : ?spans:Ba_obs.Span.buf -> kind -> n_cities:int -> int array -> t
+(** [make kind ~n_cities tour] picks the representation ([n_cities] is
+    the directed city count gating [Auto]; [tour] is position → city,
+    copied). *)
+val make : kind -> n_cities:int -> int array -> t
 
 (** The representation actually chosen ([Array] or [Two_level]). *)
 val kind_of : t -> kind

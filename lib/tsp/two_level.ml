@@ -29,8 +29,7 @@
     [max_segs] (≈ 2√n) the structure is rebuilt into ~√n equal
     segments — O(n), but amortized O(√n) per move because at most
     three splits happen per reversal.  Rebuilds are counted
-    ([rebalances]) and traced as a [two_level.rebalance] span when the
-    state was created with an enabled span buffer. *)
+    ([rebalances]). *)
 
 type seg = {
   mutable cities : int array;  (** physical storage, exactly [len] wide *)
@@ -51,7 +50,6 @@ type t = {
   max_segs : int;  (** rebuild once [nsegs] exceeds this *)
   mutable splits : int;
   mutable rebalances : int;
-  spans : Ba_obs.Span.buf;
 }
 
 let n t = t.n
@@ -84,10 +82,9 @@ let rebuild t (tour : int array) =
     done
   done
 
-(** [create ?spans ~tour n] builds a balanced two-level tour over the
-    [n]-city tour (copied).  [spans] (default disabled) receives one
-    [two_level.rebalance] span per rebuild. *)
-let create ?(spans = Ba_obs.Span.null) ~tour n =
+(** [create ~tour n] builds a balanced two-level tour over the [n]-city
+    tour (copied). *)
+let create ~tour n =
   if Array.length tour <> n then invalid_arg "Two_level.create: wrong size";
   let group = max 1 (int_of_float (ceil (sqrt (float_of_int n)))) in
   let base = (n + group - 1) / group in
@@ -105,7 +102,6 @@ let create ?(spans = Ba_obs.Span.null) ~tour n =
       max_segs;
       splits = 0;
       rebalances = 0;
-      spans;
     }
   in
   rebuild t tour;
@@ -255,10 +251,8 @@ let rotate_to t p =
   end
 
 let rebalance t =
-  Ba_obs.Span.with_span t.spans "two_level.rebalance" (fun () ->
-      let tour = to_array t in
-      rebuild t tour;
-      t.rebalances <- t.rebalances + 1)
+  rebuild t (to_array t);
+  t.rebalances <- t.rebalances + 1
 
 (** [reverse t l r] reverses the cyclic {e absolute} position range
     [l..r] (inclusive), exactly like the flat representation's

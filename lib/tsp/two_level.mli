@@ -13,11 +13,10 @@
 
 type t
 
-(** [create ?spans ~tour n] builds a balanced structure from a tour
-    (position → city; copied).  [spans] (default disabled) receives one
-    [two_level.rebalance] span per rebuild.
+(** [create ~tour n] builds a balanced structure from a tour
+    (position → city; copied).
     @raise Invalid_argument on a wrong-length tour. *)
-val create : ?spans:Ba_obs.Span.buf -> tour:int array -> int -> t
+val create : tour:int array -> int -> t
 
 val n : t -> int
 

@@ -53,8 +53,58 @@ let test_row_timings_recorded () =
   let r = Lazy.force row in
   let s = r.R.stages in
   Alcotest.(check bool) "compile timed" true (s.Ba_harness.Timing.compile_s >= 0.0);
-  Alcotest.(check bool) "solver timed" true (s.Ba_harness.Timing.solve_s >= 0.0);
-  Alcotest.(check bool) "profile timed" true (s.Ba_harness.Timing.profile_s > 0.0)
+  Alcotest.(check bool) "profile timed" true (s.Ba_harness.Timing.profile_s > 0.0);
+  Alcotest.(check bool) "matrix timed" true (s.Ba_harness.Timing.matrix_s > 0.0);
+  Alcotest.(check bool) "solver timed" true (s.Ba_harness.Timing.solve_s > 0.0);
+  Alcotest.(check bool) "bounds timed" true (s.Ba_harness.Timing.bounds_s > 0.0);
+  Alcotest.(check int) "one self-trained solve per procedure" r.R.n_procs
+    r.R.solve_dist.Ba_harness.Timing.n
+
+(* Table 2 from a hand-built span array: only the self-trained pass's
+   matrix/solve spans count, and greedy sums both of its phases *)
+let test_timing_of_spans () =
+  let module T = Ba_harness.Timing in
+  let span id parent name dur_ns =
+    { Ba_obs.Span.id; parent; task = 0; name; start_ns = 1_000L;
+      stop_ns = Int64.add 1_000L (Int64.of_int dur_ns) }
+  in
+  let spans =
+    [|
+      span 0 (-1) "task" 0;
+      span 1 0 "compile" 1_000;
+      span 2 0 "profile" 2_000;
+      span 3 0 "greedy" 3_000;
+      span 4 0 "realize-greedy" 4_000;
+      span 5 0 "tsp-self" 0;
+      span 6 5 "matrix" 5_000;
+      span 7 5 "solve" 30_000;
+      span 8 5 "matrix" 6_000;
+      span 9 5 "solve" 10_000;
+      span 10 5 "solve" 20_000;
+      span 11 0 "realize-tsp" 7_000;
+      span 12 0 "tsp-cross" 0;
+      span 13 12 "matrix" 900_000;
+      span 14 12 "solve" 900_000;
+      (* an aligner's own "solve" stage, outside the TSP passes *)
+      span 15 0 "solve" 900_000;
+      span 16 0 "bounds" 8_000;
+    |]
+  in
+  let s, d = T.of_spans spans in
+  let eq what = Alcotest.(check (float 1e-15)) what in
+  eq "compile" 1e-6 s.T.compile_s;
+  eq "profile" 2e-6 s.T.profile_s;
+  eq "greedy = greedy + realize-greedy" 7e-6 s.T.greedy_s;
+  eq "matrix: tsp-self only" 11e-6 s.T.matrix_s;
+  eq "solve: tsp-self only" 60e-6 s.T.solve_s;
+  eq "tsp program" 7e-6 s.T.tsp_program_s;
+  eq "bounds" 8e-6 s.T.bounds_s;
+  let want = T.dist_of [ 30e-6; 10e-6; 20e-6 ] in
+  Alcotest.(check int) "solves" want.T.n d.T.n;
+  eq "total" want.T.total_s d.T.total_s;
+  eq "p50" want.T.p50_s d.T.p50_s;
+  eq "p95" want.T.p95_s d.T.p95_s;
+  eq "max" want.T.max_s d.T.max_s
 
 (* ---------------- synthetic corpus ---------------- *)
 
@@ -204,6 +254,7 @@ let () =
             test_row_cross_validation_sane;
           Alcotest.test_case "cycles sane" `Slow test_row_cycles_sane;
           Alcotest.test_case "timings recorded" `Slow test_row_timings_recorded;
+          Alcotest.test_case "timing from spans" `Quick test_timing_of_spans;
         ] );
       ( "synthetic",
         [

@@ -6,11 +6,10 @@
    k.  That order is a strict total order, so the expected list is
    unique and any correct implementation matches it.
 
-   The lists must also exclude the locked partner, clamp k into
-   [0, n−1], and be bit-identical at any executor job count. *)
+   The lists must also exclude the locked partner and clamp k into
+   [0, n−1]. *)
 
 open Ba_tsp
-module Executor = Ba_engine.Executor
 
 let gen_seed = QCheck2.Gen.int_bound 1_000_000
 
@@ -142,20 +141,6 @@ let prop_locked_excluded =
         (Neighbors.of_sym s ~k:8);
       true)
 
-let prop_executor_identity =
-  QCheck2.Test.make ~count:60
-    ~name:"pooled construction bit-identical to sequential" gen_seed
-    (fun seed ->
-      let d = instance_of_seed seed in
-      let s = Sym.of_dtsp d in
-      let seq = Neighbors.of_sym s ~k:8 in
-      List.iter
-        (fun jobs ->
-          if seq <> Neighbors.of_sym ~exec:(Executor.Pool jobs) s ~k:8 then
-            QCheck2.Test.fail_reportf "jobs=%d differs from Seq" jobs)
-        [ 2; 3 ];
-      true)
-
 (* ---------------- unit regressions ---------------- *)
 
 (* k beyond the partner count (and below zero) must clamp to the full
@@ -211,7 +196,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_select_canonical;
           QCheck_alcotest.to_alcotest prop_locked_excluded;
         ] );
-      ("executor", [ QCheck_alcotest.to_alcotest prop_executor_identity ]);
       ( "regression",
         [
           Alcotest.test_case "k clamping" `Quick test_k_clamping;

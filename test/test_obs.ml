@@ -67,7 +67,7 @@ let shape buf =
   |> List.map (fun s -> (s.Span.id, s.Span.parent, s.Span.name))
 
 let test_span_nesting () =
-  let buf = Span.create ~task:7 ~enabled:true in
+  let buf = Span.create ~task:7 in
   Span.with_span buf "root" (fun () ->
       Span.with_span buf "a" (fun () ->
           Span.with_span buf "a1" (fun () -> ()));
@@ -83,18 +83,34 @@ let test_span_nesting () =
         (Span.duration_ns s >= 0L))
     (Span.spans buf)
 
-let test_span_disabled_and_null () =
-  let buf = Span.create ~task:0 ~enabled:false in
-  let r = Span.with_span buf "x" (fun () -> 41 + 1) in
-  Alcotest.(check int) "value passes through" 42 r;
-  Alcotest.(check int) "nothing recorded" 0 (Array.length (Span.spans buf));
-  Alcotest.(check int) "null buffer empty" 0
-    (Array.length (Span.spans Span.null))
+(* stage timings are span totals, so buffers record with tracing off;
+   tracing decides only whether the spans are exported *)
+let test_span_recorded_untraced () =
+  Trace.clear ();
+  Trace.set_enabled false;
+  let outcomes =
+    Task.run_all Executor.Seq
+      [|
+        Task.make ~id:0 (fun ctx ->
+            Task.staged ctx Task.Solve (fun () -> 41 + 1));
+      |]
+  in
+  let o = outcomes.(0) in
+  Alcotest.(check int) "value passes through" 42 o.Task.value;
+  Alcotest.(check (list (pair string int)))
+    "root + stage recorded"
+    [ ("task", -1); ("solve", 0) ]
+    (Array.to_list o.Task.spans
+    |> List.map (fun s -> (s.Span.name, s.Span.parent)));
+  Alcotest.(check (float 0.)) "elapsed is the root span"
+    (Span.duration_s o.Task.spans.(0))
+    o.Task.elapsed_s;
+  Alcotest.(check int) "nothing exported" 0 (List.length (Trace.all_groups ()))
 
 exception Kaboom
 
 let test_span_closes_on_raise () =
-  let buf = Span.create ~task:0 ~enabled:true in
+  let buf = Span.create ~task:0 in
   (try
      Span.with_span buf "outer" (fun () ->
          Span.with_span buf "inner" (fun () -> raise Kaboom))
@@ -284,7 +300,8 @@ let () =
       ( "span",
         [
           Alcotest.test_case "nesting" `Quick test_span_nesting;
-          Alcotest.test_case "disabled" `Quick test_span_disabled_and_null;
+          Alcotest.test_case "recorded with tracing off" `Quick
+            test_span_recorded_untraced;
           Alcotest.test_case "closes-on-raise" `Quick test_span_closes_on_raise;
         ] );
       ( "metrics",

@@ -12,30 +12,27 @@
     - the flat arrays and the two-level tour walk the same trajectory,
       compared on the full tour ([Hashtbl.hash] samples only a prefix
       of an array);
-    - candidate lists and trajectory are identical on a 2-domain pool;
     - every final layout passes the independent certifier. *)
 
 open Ba_tsp
 module Reduction = Ba_align.Reduction
 module Certify = Ba_check.Certify
-module Executor = Ba_engine.Executor
 
 let model = Ba_machine.Model.alpha21164
 let seed = 7
 let k = 12
 
 type outcome = {
-  nbr : int array array;
   tour : int array;
   best_cost : int;
   moves : int;
   scans_skipped : int;
 }
 
-let trajectory ?(exec = Executor.Seq) ~repr ~kicks (g, prof) n =
+let trajectory ~repr ~kicks (g, prof) n =
   let inst = Reduction.build model g ~profile:prof in
   let s = Sym.of_dtsp inst.Reduction.dtsp in
-  let nbr = Neighbors.of_sym ~exec s ~k in
+  let nbr = Neighbors.of_sym s ~k in
   let st = Three_opt.init ~repr s ~nbr ~tour:(Array.init s.Sym.nn Fun.id) in
   let krng = Random.State.make [| seed; n; kicks |] in
   Three_opt.activate_all st;
@@ -57,7 +54,6 @@ let trajectory ?(exec = Executor.Seq) ~repr ~kicks (g, prof) n =
       Alcotest.failf "n=%d: certification failed: %s" n
         (Certify.error_to_string e));
   {
-    nbr;
     tour;
     best_cost = Three_opt.cost st;
     moves = st.Three_opt.moves_2opt + st.Three_opt.moves_3opt;
@@ -104,13 +100,8 @@ let test_syn () =
 let test_scale () =
   let n = 100_000 in
   let inst = Ba_workloads.Scale.instance Switch ~n ~invocations:1024 in
-  let run exec = trajectory ~exec ~repr:Tour_repr.Auto ~kicks:8 inst n in
-  let seq = run Executor.Seq and pool = run (Executor.Pool 2) in
-  check_baseline (n, -6802569774195, 499302583, 1539, 1) seq;
-  Alcotest.(check bool) "pooled neighbor lists = sequential" true
-    (seq.nbr = pool.nbr);
-  Alcotest.(check (array int)) "pooled trajectory = sequential" seq.tour
-    pool.tour
+  check_baseline (n, -6802569774195, 499302583, 1539, 1)
+    (trajectory ~repr:Tour_repr.Auto ~kicks:8 inst n)
 
 let () =
   Alcotest.run "trajectory"
@@ -118,7 +109,6 @@ let () =
       ( "identity",
         [
           Alcotest.test_case "syn baseline, flat = two-level" `Quick test_syn;
-          Alcotest.test_case "scale-switch 1e5 baseline, jobs 1 = 2" `Quick
-            test_scale;
+          Alcotest.test_case "scale-switch 1e5 baseline" `Quick test_scale;
         ] );
     ]

@@ -433,9 +433,13 @@ let test_scale_certify_smoke () =
 
 let test_certify_sparse_instance_equivalence () =
   (* the sparse certifier instance must be the same logical matrix as
-     the dense independent build, on scale instances and random CFGs *)
-  let model = Ba_machine.Model.alpha21164 in
-  let check what g p =
+     the dense independent build — and give the same Held–Karp bound —
+     on scale instances, random CFGs and every procedure of the bundled
+     programs, under both objectives *)
+  let models = [ Ba_machine.Model.alpha21164; Ba_machine.Model.ext_tsp () ] in
+  let hk = { Ba_tsp.Held_karp.default with iterations = 200 } in
+  let check model what g p =
+    let what = Ba_machine.Model.to_string model ^ " " ^ what in
     let dd, dummy_d = Ba_check.Certify.dtsp_of model g ~profile:p in
     let ds, dummy_s = Ba_check.Certify.dtsp_of_sparse model g ~profile:p in
     Alcotest.(check int) (what ^ ": dummy") dummy_d dummy_s;
@@ -449,32 +453,56 @@ let test_certify_sparse_instance_equivalence () =
       done
     done;
     Alcotest.(check int) (what ^ ": max_cost") (Ba_tsp.Dtsp.max_cost dd)
-      (Ba_tsp.Dtsp.max_cost ds)
+      (Ba_tsp.Dtsp.max_cost ds);
+    (* the identity walk is a valid tour: its cost bounds the ascent,
+       which is cut short — both instances must walk the same one *)
+    let upper = Ba_tsp.Dtsp.tour_cost dd (Array.init n Fun.id) in
+    let bound d =
+      Ba_tsp.Held_karp.directed_bound ~config:hk d ~upper_bound:upper
+    in
+    Alcotest.(check int) (what ^ ": Held-Karp bound") (bound dd) (bound ds)
   in
   List.iter
     (fun model ->
       List.iter
         (fun fam ->
           let g, p = Scale.instance fam ~n:40 ~invocations:256 in
-          check
-            (Ba_machine.Model.to_string model ^ " " ^ Scale.name fam)
-            g p)
-        Scale.all)
-    [ model; Ba_machine.Model.ext_tsp () ];
+          check model (Scale.name fam) g p)
+        Scale.all;
+      List.iter
+        (fun seed ->
+          let rng = Random.State.make [| seed |] in
+          let n = 2 + Random.State.int rng 24 in
+          let g = Ba_testutil.Gen.cfg rng ~n in
+          let prof =
+            Ba_testutil.Gen.profile_of ~seed:(seed + 1) g ~invocations:20
+              ~max_steps:100
+          in
+          check model
+            (Printf.sprintf "random cfg seed=%d" seed)
+            g
+            (Ba_profile.Profile.proc prof 0))
+        [ 3; 17; 99; 1234 ])
+    models;
   List.iter
-    (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let n = 2 + Random.State.int rng 24 in
-      let g = Ba_testutil.Gen.cfg rng ~n in
-      let prof =
-        Ba_testutil.Gen.profile_of ~seed:(seed + 1) g ~invocations:20
-          ~max_steps:100
-      in
-      check
-        (Printf.sprintf "random cfg seed=%d" seed)
-        g
-        (Ba_profile.Profile.proc prof 0))
-    [ 3; 17; 99; 1234 ]
+    (fun w ->
+      let c = W.compile w in
+      List.iter
+        (fun (ds : W.dataset) ->
+          let prof = Ba_minic.Compile.profile c ~input:ds.W.input in
+          Array.iteri
+            (fun fid g ->
+              List.iter
+                (fun model ->
+                  check model
+                    (Printf.sprintf "%s.%s/%s" w.W.name ds.W.ds_name
+                       g.Ba_cfg.Cfg.name)
+                    g
+                    (Ba_profile.Profile.proc prof fid))
+                models)
+            c.Ba_minic.Compile.cfgs)
+        (W.dataset_list w))
+    Ba_workloads.Workload_apps.everything
 
 (* ---------------- table 1 statistics ---------------- *)
 
