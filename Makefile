@@ -21,16 +21,17 @@ test:
 # examples, and the single-clock rule: every duration and deadline
 # reads Ba_obs.Mono, so gettimeofday may not appear in the sources, and
 # stage timings are span totals, so under lib/ only the span recorder
-# (lib/obs), budgets, the serve latency histogram and the 3-Opt run_ns
-# counters read the clock directly.
+# (lib/obs), budgets and the serve latency histogram read the clock
+# directly.
 check: build test smoke lint
 	@! grep -rn gettimeofday lib bin bench || { echo "check FAIL: gettimeofday outside Ba_obs.Mono"; exit 1; }
 	@! grep -rnE 'Mono\.(now_ns|since_s)' lib \
-	  | grep -vE '^lib/(obs/|robust/budget\.ml:|serve/server\.ml:|tsp/three_opt\.ml:)' \
+	  | grep -vE '^lib/(obs/|robust/budget\.ml:|serve/server\.ml:)' \
 	  || { echo "check FAIL: clock read outside spans (see Makefile check)"; exit 1; }
 
 # The smoke test drives the built binary through the failure paths that
-# docs/ROBUSTNESS.md documents and checks the exit codes line up.
+# docs/ROBUSTNESS.md documents and checks the exit codes line up; the
+# bench harness must reject a misspelled section name.
 smoke: build
 	@tmp=$$(mktemp -d); trap 'rm -rf '"$$tmp" EXIT; \
 	printf 'fn main() { print(1); }' > $$tmp/ok.mc; \
@@ -50,7 +51,12 @@ smoke: build
 	    echo "smoke FAIL: balign $$cmd -> exit $$got (want $$want)"; exit 1; \
 	  fi; \
 	  echo "smoke ok  : balign $$cmd -> exit $$got"; \
-	done
+	done; \
+	$(BENCH) tabel1 >/dev/null 2>&1; got=$$?; \
+	if [ "$$got" -ne 2 ]; then \
+	  echo "smoke FAIL: bench/main.exe tabel1 -> exit $$got (want 2)"; exit 1; \
+	fi; \
+	echo "smoke ok  : bench/main.exe tabel1 -> exit $$got"
 
 # Parallel determinism gate: the full test suite, then the bench
 # summary + CSV export at --jobs 1 vs a real domain pool (at least 4
@@ -87,7 +93,7 @@ check-par: build test
 	  >/dev/null 2>&1; \
 	BALIGN_COMMIT=checkpar $(BALIGN) bench com --json $$tmp/bmax.json --jobs $$j \
 	  >/dev/null 2>&1; \
-	mask() { sed -E -e 's/"(wall_ms|p50_ms|p95_ms|run_s|moves_per_s)":[0-9.eE+-]+/"\1":X/g' \
+	mask() { sed -E -e 's/"(wall_ms|p50_ms|p95_ms)":[0-9.eE+-]+/"\1":X/g' \
 	  -e 's/"date":"[^"]*"/"date":X/' -e 's/"jobs":[0-9]+/"jobs":X/g' "$$1"; }; \
 	mask $$tmp/b1.json > $$tmp/b1.masked; \
 	mask $$tmp/bmax.json > $$tmp/bmax.masked; \

@@ -1,7 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper
    (Tables 1-4, Figures 2-3, the appendix statistics and a headline
-   summary), then runs Bechamel micro-benchmarks of the algorithmic
-   stages — one per table/figure target.
+   summary) and the extension studies.
 
    Usage:
      dune exec bench/main.exe                       # everything
@@ -9,7 +8,8 @@
      dune exec bench/main.exe -- --jobs 4 summary   # 4-domain pool
      dune exec bench/main.exe -- --jobs max csv     # recommended_domain_count
    Sections: table1 table2 table3 table4 fig2 fig3 appendix summary
-             spec95 dynamic procorder btfnt replication ablation micro csv
+             spec95 dynamic procorder btfnt replication ablation csv
+   An unknown section name exits 2 and lists the known ones.
 
    Tables and CSV measurements go to stdout / results/ and are
    bit-identical at any --jobs value; progress and wall-clock chatter
@@ -41,8 +41,26 @@ let jobs, sections =
   in
   parse 1 [] (List.tl (Array.to_list Sys.argv))
 
+let known_sections =
+  [ "table1"; "table2"; "table3"; "table4"; "fig2"; "fig3"; "appendix";
+    "summary"; "spec95"; "dynamic"; "procorder"; "btfnt"; "replication";
+    "ablation"; "csv" ]
+
+let () =
+  match List.filter (fun s -> not (List.mem s known_sections)) sections with
+  | [] -> ()
+  | unknown ->
+      Fmt.epr "bench: unknown section(s) %s; known: %s@."
+        (String.concat " " unknown)
+        (String.concat " " known_sections);
+      exit 2
+
 let executor = Executor.of_jobs jobs
-let wanted name = sections = [] || List.mem name sections
+
+let wanted name =
+  assert (List.mem name known_sections);
+  sections = [] || List.mem name sections
+
 let ppf = Fmt.stdout
 
 (* progress and timing chatter: run-dependent, so stderr only *)
@@ -300,86 +318,6 @@ let () =
     Fmt.pf ppf "%-40s %14d@." "calder-grunwald + exhaustive prefix"
       (eval_method (fun g prof ->
            Ba_align.Calder.align_exhaustive p g ~profile:prof))
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                            *)
-(* ------------------------------------------------------------------ *)
-
-let () =
-  if wanted "micro" then begin
-    Fmt.pf ppf "@.";
-    Fmt.pf ppf "%s@." (String.make 78 '-');
-    Fmt.pf ppf "Bechamel micro-benchmarks (ns/run of each pipeline stage)@.";
-    Fmt.pf ppf "%s@." (String.make 78 '-');
-    let open Bechamel in
-    let p = Ba_machine.Model.alpha21164 in
-    (* a mid-sized fixed instance for stage benchmarks *)
-    let inst =
-      List.nth (Ba_harness.Synthetic.corpus ~sizes:[ 32 ] ~per_size:1 ()) 0
-    in
-    let g = inst.Ba_harness.Synthetic.g and prof = inst.Ba_harness.Synthetic.prof in
-    let red = Ba_align.Reduction.build p g ~profile:prof in
-    let dtsp = red.Ba_align.Reduction.dtsp in
-    let quick =
-      { Ba_tsp.Iterated.default with Ba_tsp.Iterated.runs = 2; kick_factor = 1 }
-    in
-    let com = Ba_workloads.Workload.com in
-    let compiled = Ba_workloads.Workload.compile com in
-    let small_input = Ba_workloads.Src_com.dataset_text ~n:2_000 ~seed:3 in
-    let tests =
-      [
-        (* table 2 stages *)
-        Test.make ~name:"t2-compile-com"
-          (Staged.stage (fun () -> Ba_workloads.Workload.compile com));
-        Test.make ~name:"t2-profile-com-2k"
-          (Staged.stage (fun () ->
-               Ba_minic.Compile.profile compiled ~input:small_input));
-        Test.make ~name:"t2-greedy-align"
-          (Staged.stage (fun () -> Ba_align.Greedy.align g ~profile:prof));
-        Test.make ~name:"t2-tsp-matrix"
-          (Staged.stage (fun () -> Ba_align.Reduction.build p g ~profile:prof));
-        Test.make ~name:"t2-tsp-solve"
-          (Staged.stage (fun () -> Ba_tsp.Iterated.solve ~config:quick dtsp));
-        (* table 4 / fig 2 machinery *)
-        Test.make ~name:"t4-hk-bound"
-          (Staged.stage (fun () ->
-               Ba_tsp.Held_karp.directed_bound dtsp
-                 ~upper_bound:
-                   (Ba_tsp.Dtsp.tour_cost dtsp
-                      (Ba_tsp.Construct.identity dtsp.Ba_tsp.Dtsp.n))));
-        Test.make ~name:"appendix-ap-bound"
-          (Staged.stage (fun () -> Ba_tsp.Hungarian.ap_bound dtsp));
-        Test.make ~name:"appendix-patching"
-          (Staged.stage (fun () -> Ba_tsp.Patching.solve dtsp));
-        Test.make ~name:"fig2-evaluate-layout"
-          (Staged.stage (fun () ->
-               Ba_align.Evaluate.proc_penalty p g
-                 ~order:(Ba_cfg.Layout.identity g) ~train:prof ~test:prof));
-      ]
-    in
-    let benchmark test =
-      let instances = Toolkit.Instance.[ monotonic_clock ] in
-      let cfg =
-        Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~stabilize:false
-          ~compaction:false ()
-      in
-      Benchmark.all cfg instances test
-    in
-    let analyze raw =
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-      in
-      Analyze.all ols Toolkit.Instance.monotonic_clock raw
-    in
-    let grouped = Test.make_grouped ~name:"stages" ~fmt:"%s %s" tests in
-    let results = analyze (benchmark grouped) in
-    Hashtbl.iter
-      (fun name ols ->
-        match Analyze.OLS.estimates ols with
-        | Some [ est ] -> Fmt.pf ppf "%-32s %14.0f ns/run@." name est
-        | _ -> Fmt.pf ppf "%-32s (no estimate)@." name)
-      results
   end
 
 let () = Fmt.pf ppf "@.done.@."

@@ -271,8 +271,8 @@ let align_checked ?(executor = Executor.Seq) ?deadline_ms ?(fallback = true)
   let ( let* ) r f = Result.bind r f in
   (* validation is the lint gate: the ba_check rule catalogue runs over
      the CFGs and the profile, and the first Error finding (in
-     catalogue order, matching the legacy validation order) is routed
-     into the typed-error pipeline *)
+     catalogue order: CFG shape, then profile shape, then edges) is
+     routed into the typed-error pipeline *)
   let* () = Ba_check.Lint.gate ~profile:train cfgs in
   let budget = Budget.create ?deadline_ms () in
   let realize_proc fid cfg order profile =

@@ -25,7 +25,7 @@ type t = {
     procedure under model [m]'s objective.
     @raise Invalid_argument if the profile's block count disagrees with
     the CFG (callers wanting a typed error validate first, see
-    {!Ba_profile.Profile.validate}). *)
+    {!Ba_check.Lint.gate}). *)
 let build (m : Model.t) (cfg : Cfg.t) ~(profile : Profile.proc) : t =
   let n = Cfg.n_blocks cfg in
   if Array.length profile.Profile.freqs <> n then

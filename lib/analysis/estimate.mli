@@ -13,9 +13,8 @@
     integer counts per block by largest-remainder apportionment and made
     {e exactly} Kirchhoff-consistent by routing each block's residual
     along a BFS path to the exit (excess) or from the entry (deficit),
-    so the result passes {!Ba_profile.Profile.validate} and the BA2xx
-    profile rules — including BA207 flow conservation — on any sound
-    CFG, reducible or not.
+    so the result passes the BA2xx profile rules — including BA207 flow
+    conservation — on any sound CFG, reducible or not.
 
     Everything is O(n + E) per loop-nesting level; the 10⁵-block `scale`
     families estimate in well under a second. *)

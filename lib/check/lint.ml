@@ -41,9 +41,9 @@ let starts_with ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
-(** Map one finding to the typed error the legacy validators raised for
-    the same violation, so downstream matching (tests, exit codes,
-    fault expectations) is unchanged. *)
+(** Map one finding to the typed error of its violation, so lint
+    failures match (tests, exit codes, fault expectations) like every
+    other typed error. *)
 let to_error (d : D.t) : Errors.t =
   let datum k = Option.value ~default:0 (List.assoc_opt k d.D.data) in
   match d.D.rule with

@@ -17,9 +17,8 @@ val analyze :
   ?rules:Rules.rule list -> ?profile:Ba_profile.Profile.t ->
   Ba_cfg.Cfg.t array -> report
 
-(** Map one finding to the typed error the legacy validators raised for
-    the same violation (rule families map to
-    [Invalid_cfg] / [Invalid_profile] / [Profile_mismatch]). *)
+(** Map one finding to the typed error of its violation (rule families
+    map to [Invalid_cfg] / [Invalid_profile] / [Profile_mismatch]). *)
 val to_error : Diagnostic.t -> Ba_robust.Errors.t
 
 (** First finding that gates: the first Error — with [strict], the

@@ -10,8 +10,9 @@
     The catalogue is ordered: the first Error in catalogue order is the
     one {!Lint.gate} routes into the typed-error pipeline, so shape
     errors (which make later rules meaningless) come first within each
-    family, and CFG rules come before profile rules, mirroring the
-    validation order of {!Ba_align.Driver.align_checked}.
+    family, and CFG rules come before profile rules: a profile cannot be
+    checked against a malformed CFG.  {!Lint.gate} is the only profile
+    validator; the driver, serve and the benchmark all go through it.
 
     Severity contract (see docs/ANALYSIS.md for the full catalogue):
     - [Error]: the alignment pipeline cannot be trusted on this input;

@@ -74,50 +74,18 @@ let row_json ~jobs (o : Runner.row Task.outcome) : Json.t =
       ("cert_failures", Json.Int r.Runner.cert_failures);
     ]
 
-(** Per-representation 3-Opt throughput split, read from the process
-    metrics registry: for each tour representation, the improving moves
-    it applied, the time {!Ba_tsp.Three_opt.run} spent on it, and the
-    resulting moves/s (0 when that representation never ran).  The move
-    counts are deterministic; the times and rates are wall-clock. *)
-let solver_split () : Json.t =
-  let one moves_c ns_c =
-    let moves = Ba_obs.Metrics.get moves_c in
-    let run_s = float_of_int (Ba_obs.Metrics.get ns_c) /. 1e9 in
-    Json.Obj
-      [
-        ("moves", Json.Int moves);
-        ("run_s", Json.Float run_s);
-        ( "moves_per_s",
-          Json.Float (if run_s > 0. then float_of_int moves /. run_s else 0.)
-        );
-      ]
-  in
-  Json.Obj
-    [
-      ("array", one Ba_obs.Metrics.Moves_array_repr Ba_obs.Metrics.Run_ns_array_repr);
-      ( "two_level",
-        one Ba_obs.Metrics.Moves_two_level_repr
-          Ba_obs.Metrics.Run_ns_two_level_repr );
-      ("segment_splits", Json.Int (Ba_obs.Metrics.get Ba_obs.Metrics.Segment_splits));
-      ( "segment_rebalances",
-        Json.Int (Ba_obs.Metrics.get Ba_obs.Metrics.Segment_rebalances) );
-    ]
-
-(** [make ?model ?solver ~commit ~date ~jobs outcomes] builds the
-    document; pure.  [model] names the cost model the rows were
-    measured under (default: the registry default); [solver], when
-    given, lands verbatim as the per-representation solver split
-    ({!solver_split}). *)
-let make ?(model = Ba_machine.Model.default) ?solver ~commit ~date ~jobs
+(** [make ?model ~commit ~date ~jobs outcomes] builds the document;
+    pure.  [model] names the cost model the rows were measured under
+    (default: the registry default). *)
+let make ?(model = Ba_machine.Model.default) ~commit ~date ~jobs
     (outcomes : Runner.row Task.outcome list) : Json.t =
   Json.Obj
-    ([
-       ("commit", Json.String commit);
-       ("date", Json.String date);
-       ("model", Json.String (Ba_machine.Model.to_string model));
-     ]
-    @ (match solver with None -> [] | Some s -> [ ("solver", s) ])
-    @ [ ("rows", Json.List (List.map (row_json ~jobs) outcomes)) ])
+    [
+      ("commit", Json.String commit);
+      ("date", Json.String date);
+      ("model", Json.String (Ba_machine.Model.to_string model));
+      ("rows", Json.List (List.map (row_json ~jobs) outcomes));
+    ]
 
 (** Best-effort current commit id: [$BALIGN_COMMIT] if set (CI), else
     [git rev-parse HEAD], else ["unknown"]. *)
@@ -143,9 +111,9 @@ let now_utc () =
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
     tm.Unix.tm_sec
 
-(** [write ?model path ~jobs outcomes] stamps and writes the document,
-    including the solver split of this process's run. *)
+(** [write ?model path ~jobs outcomes] stamps and writes the
+    document. *)
 let write ?model path ~jobs outcomes =
   Json.write_file path
-    (make ?model ~solver:(solver_split ()) ~commit:(current_commit ())
-       ~date:(now_utc ()) ~jobs outcomes)
+    (make ?model ~commit:(current_commit ()) ~date:(now_utc ()) ~jobs
+       outcomes)

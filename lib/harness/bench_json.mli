@@ -1,28 +1,22 @@
 (** Machine-readable bench trajectory ([balign bench --json FILE]):
     [{commit, date, model, rows: [{bench, dataset, penalty_cycles,
-    hk_gap, objectives, wall_ms, p50_ms, p95_ms, jobs}]}] where
-    [objectives] carries both cost objectives (control-penalty cycles
-    and the Ext-TSP locality score) for every self-trained aligner
-    (tsp, calder, greedy, btfnt).  {!make} is pure so tests can
-    golden-check the deterministic slice. *)
+    hk_gap, objectives, wall_ms, p50_ms, p95_ms, jobs, certs,
+    cert_failures}]}] where [objectives] carries both cost objectives
+    (control-penalty cycles and the Ext-TSP locality score) for every
+    self-trained aligner (tsp, calder, greedy, btfnt) and the two
+    static-estimate-trained layouts (tsp_static, greedy_static).
+    {!make} is pure so tests can golden-check the deterministic
+    slice. *)
 
 (** Gap of the self-trained TSP penalty to the Held–Karp lower bound,
     as a fraction of the bound (0 when the bound is degenerate). *)
 val hk_gap : Runner.row -> float
 
-(** Per-representation 3-Opt throughput split ([{array, two_level:
-    {moves, run_s, moves_per_s}, segment_splits, segment_rebalances}])
-    read from the process metrics registry; moves are deterministic,
-    times and rates are wall-clock. *)
-val solver_split : unit -> Ba_obs.Json.t
-
-(** [make ?model ?solver ~commit ~date ~jobs outcomes] builds the
-    document; pure.  [model] names the cost model the rows were
-    measured under; [solver] (e.g. {!solver_split}) is embedded
-    verbatim when given. *)
+(** [make ?model ~commit ~date ~jobs outcomes] builds the document;
+    pure.  [model] names the cost model the rows were measured
+    under. *)
 val make :
   ?model:Ba_machine.Model.t ->
-  ?solver:Ba_obs.Json.t ->
   commit:string ->
   date:string ->
   jobs:int ->

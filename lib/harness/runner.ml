@@ -89,11 +89,12 @@ let default =
 
 (** Align every procedure with the TSP method, each procedure's matrix
     construction and solve in their own ["matrix"] and ["solve"] spans.
-    Returns the orders and the exact/timeout counts. *)
+    Returns the orders, the solver's DTSP walk cost of each
+    ({!Tsp_align.result.cost}) and the exact/timeout counts. *)
 let tsp_align_program (cfg : config) spans cfgs ~train =
   let sp name f = Ba_obs.Span.with_span spans name f in
   let n_exact = ref 0 and n_timeouts = ref 0 in
-  let orders =
+  let results =
     Array.mapi
       (fun fid g ->
         let inst =
@@ -105,10 +106,13 @@ let tsp_align_program (cfg : config) spans cfgs ~train =
         in
         if r.Tsp_align.exact then incr n_exact;
         if r.Tsp_align.degraded <> None then incr n_timeouts;
-        r.Tsp_align.order)
+        r)
       cfgs
   in
-  (orders, !n_exact, !n_timeouts)
+  ( Array.map (fun r -> r.Tsp_align.order) results,
+    Array.map (fun r -> r.Tsp_align.cost) results,
+    !n_exact,
+    !n_timeouts )
 
 (** Realize a program from pre-computed orders. *)
 let realize_program (cfg : config) cfgs orders ~train =
@@ -197,7 +201,7 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.create ~task:0)
     sp "realize-greedy" (fun () ->
         realize_program config cfgs greedy_self_orders ~train:test_profile)
   in
-  let tsp_self_orders, n_exact, n_timeouts =
+  let tsp_self_orders, tsp_self_costs, n_exact, n_timeouts =
     sp "tsp-self" (fun () ->
         tsp_align_program config spans cfgs ~train:test_profile)
   in
@@ -233,7 +237,7 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.create ~task:0)
     sp "greedy-cross" (fun () ->
         realize_program config cfgs greedy_cross_orders ~train:cross_profile)
   in
-  let tsp_cross_orders, _, _ =
+  let tsp_cross_orders, _, _, _ =
     sp "tsp-cross" (fun () ->
         tsp_align_program config spans cfgs ~train:cross_profile)
   in
@@ -253,7 +257,7 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.create ~task:0)
     sp "greedy-static" (fun () ->
         realize_program config cfgs greedy_static_orders ~train:static_profile)
   in
-  let tsp_static_orders, _, _ =
+  let tsp_static_orders, _, _, _ =
     sp "tsp-static" (fun () ->
         tsp_align_program config spans cfgs ~train:static_profile)
   in
@@ -271,46 +275,22 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.create ~task:0)
   let greedy_static_m, tsp_static_m = (m greedy_static, m tsp_static) in
   (* ---- lower bound (kept per procedure for the certificates) ---- *)
   (* The Held–Karp upper bound and the certificate's claimed cost are
-     denominated in the model's OBJECTIVE units — the DTSP walk cost of
-     the layout — not in penalty cycles.  For Control_penalty models
-     the two coincide (the paper's walk-cost identity); for Ext-TSP
-     they do not, so the walk cost is computed explicitly here. *)
-  let objective_cost fid order =
-    let g = cfgs.(fid) in
-    let prof = Profile.proc test_profile fid in
-    let n = Ba_cfg.Cfg.n_blocks g in
-    let predicted = Profile.predictions prof ~n_blocks:n in
-    let c = ref 0 in
-    Array.iteri
-      (fun pos l ->
-        let succ = if pos + 1 < n then Some order.(pos + 1) else None in
-        c :=
-          !c
-          + Ba_machine.Model.edge_cost config.model
-              (Ba_cfg.Cfg.block g l).Ba_cfg.Block.term ~succ
-              ~predicted:predicted.(l)
-              ~freqs:(Profile.block_freqs prof l))
-      order;
-    !c
-  in
-  let bound, proc_bounds, proc_uppers =
+     the solver's own DTSP walk cost of each self-trained layout, in
+     the model's OBJECTIVE units — not penalty cycles.  For
+     Control_penalty models the two coincide (the paper's walk-cost
+     identity); for Ext-TSP they do not.  The certificate re-derives the
+     walk cost independently, so it checks the solver's claim. *)
+  let bound, proc_bounds =
     sp "bounds" (fun () ->
-        let total = ref 0 in
-        let bounds = Array.make (Array.length cfgs) 0 in
-        let uppers = Array.make (Array.length cfgs) 0 in
-        Array.iteri
-          (fun fid g ->
-            let prof = Profile.proc test_profile fid in
-            let upper = objective_cost fid tsp_self_orders.(fid) in
-            let b =
-              Bounds.held_karp ~config:config.hk config.model g ~profile:prof
-                ~upper
-            in
-            bounds.(fid) <- b;
-            uppers.(fid) <- upper;
-            total := !total + b)
-          cfgs;
-        (!total, bounds, uppers))
+        let bounds =
+          Array.mapi
+            (fun fid g ->
+              Bounds.held_karp ~config:config.hk config.model g
+                ~profile:(Profile.proc test_profile fid)
+                ~upper:tsp_self_costs.(fid))
+            cfgs
+        in
+        (Array.fold_left ( + ) 0 bounds, bounds))
   in
   (* ---- certificates: independently re-verify every produced layout
      of this row ({!Ba_check.Certify}).  The self-trained TSP layout
@@ -340,7 +320,7 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.create ~task:0)
       certify ~train:test_profile (Array.map Ba_cfg.Layout.identity cfgs);
       certify ~train:test_profile greedy_self_orders;
       certify ~train:test_profile
-        ~claimed:(fun fid -> Some proc_uppers.(fid))
+        ~claimed:(fun fid -> Some tsp_self_costs.(fid))
         ~hk:(fun fid -> Ba_check.Certify.Given proc_bounds.(fid))
         ~sym_check:true tsp_self_orders;
       certify ~train:cross_profile greedy_cross_orders;

@@ -43,10 +43,6 @@ type counter =
   | Serve_cache_misses  (** cache misses (fresh solves) *)
   | Serve_cache_poisoned  (** cached layouts rejected by certification *)
   | Serve_warm_starts  (** drift hits: 3-Opt seeded from the cached tour *)
-  | Moves_array_repr  (** improving moves applied on the flat tour arrays *)
-  | Moves_two_level_repr  (** improving moves applied on the two-level tour *)
-  | Run_ns_array_repr  (** ns spent inside 3-Opt runs, flat representation *)
-  | Run_ns_two_level_repr  (** ns spent inside 3-Opt runs, two-level *)
   | Segment_splits  (** two-level segment boundary splits *)
   | Segment_rebalances  (** two-level O(n) rebuilds *)
   | Held_karp_iterations  (** Held–Karp subgradient iterations run *)
@@ -76,10 +72,6 @@ let all_counters =
     (Serve_cache_misses, "serve.cache_misses");
     (Serve_cache_poisoned, "serve.cache_poisoned");
     (Serve_warm_starts, "serve.warm_starts");
-    (Moves_array_repr, "solver.moves.array_repr");
-    (Moves_two_level_repr, "solver.moves.two_level_repr");
-    (Run_ns_array_repr, "solver.run_ns.array_repr");
-    (Run_ns_two_level_repr, "solver.run_ns.two_level_repr");
     (Segment_splits, "solver.segment_splits");
     (Segment_rebalances, "solver.segment_rebalances");
     (Held_karp_iterations, "held_karp.iterations");
@@ -111,14 +103,10 @@ let counter_index = function
   | Serve_cache_misses -> 19
   | Serve_cache_poisoned -> 20
   | Serve_warm_starts -> 21
-  | Moves_array_repr -> 22
-  | Moves_two_level_repr -> 23
-  | Run_ns_array_repr -> 24
-  | Run_ns_two_level_repr -> 25
-  | Segment_splits -> 26
-  | Segment_rebalances -> 27
-  | Held_karp_iterations -> 28
-  | Held_karp_proved -> 29
+  | Segment_splits -> 22
+  | Segment_rebalances -> 23
+  | Held_karp_iterations -> 24
+  | Held_karp_proved -> 25
 
 let n_counters = List.length all_counters
 let counters : int Atomic.t array = Array.init n_counters (fun _ -> Atomic.make 0)

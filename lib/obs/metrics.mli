@@ -26,10 +26,6 @@ type counter =
   | Serve_cache_misses
   | Serve_cache_poisoned
   | Serve_warm_starts
-  | Moves_array_repr
-  | Moves_two_level_repr
-  | Run_ns_array_repr
-  | Run_ns_two_level_repr
   | Segment_splits
   | Segment_rebalances
   | Held_karp_iterations

@@ -130,117 +130,6 @@ let merge (a : proc) (b : proc) =
     (Array.init (Array.length a.freqs) (fun l ->
          Array.append a.freqs.(l) b.freqs.(l)))
 
-(** [validate_proc g p] checks that every recorded destination is a CFG
-    successor of its source block and every count is positive. *)
-let validate_proc (g : Cfg.t) (p : proc) =
-  if Array.length p.freqs <> Cfg.n_blocks g then
-    Error "profile has wrong number of blocks"
-  else
-    let bad = ref None in
-    Array.iteri
-      (fun src row ->
-        Array.iter
-          (fun (dst, n) ->
-            if n <= 0 && !bad = None then
-              bad := Some (Printf.sprintf "non-positive count on %d->%d" src dst);
-            if
-              (dst < 0 || dst >= Cfg.n_blocks g
-              || not (Block.has_successor (Cfg.block g src) dst))
-              && !bad = None
-            then bad := Some (Printf.sprintf "%d->%d is not a CFG edge" src dst))
-          row)
-      p.freqs;
-    match !bad with None -> Ok () | Some m -> Error m
-
-(** [validate cfgs t] checks a whole-program profile against the program
-    it claims to describe: matching procedure count, matching per-proc
-    block counts, no dangling destination labels, positive counts only,
-    and a well-formed call graph.  The first violation is reported as a
-    typed error carrying the offending procedure and edge. *)
-let validate (cfgs : Cfg.t array) (t : t) :
-    (unit, Ba_robust.Errors.t) result =
-  let open Ba_robust.Errors in
-  let n_procs = Array.length t.procs and n_cfgs = Array.length cfgs in
-  if n_procs <> n_cfgs then
-    Error
-      (Profile_mismatch
-         { proc = None; expected = n_cfgs; got = n_procs; what = "procedures" })
-  else begin
-    let bad = ref None in
-    let fail e = if !bad = None then bad := Some e in
-    Array.iteri
-      (fun fid g ->
-        let p = t.procs.(fid) in
-        let nb = Cfg.n_blocks g in
-        if Array.length p.freqs <> nb then
-          fail
-            (Profile_mismatch
-               {
-                 proc = Some fid;
-                 expected = nb;
-                 got = Array.length p.freqs;
-                 what = "blocks";
-               })
-        else
-          Array.iteri
-            (fun src row ->
-              Array.iter
-                (fun (dst, n) ->
-                  if n <= 0 then
-                    fail
-                      (Invalid_profile
-                         {
-                           proc = Some fid;
-                           src = Some src;
-                           dst = Some dst;
-                           reason = Printf.sprintf "non-positive count %d" n;
-                         })
-                  else if dst < 0 || dst >= nb then
-                    fail
-                      (Invalid_profile
-                         {
-                           proc = Some fid;
-                           src = Some src;
-                           dst = Some dst;
-                           reason = "dangling destination label";
-                         })
-                  else if not (Block.has_successor (Cfg.block g src) dst) then
-                    fail
-                      (Invalid_profile
-                         {
-                           proc = Some fid;
-                           src = Some src;
-                           dst = Some dst;
-                           reason = "not a CFG edge";
-                         }))
-                row)
-            p.freqs)
-      cfgs;
-    List.iter
-      (fun (caller, callee, n) ->
-        if caller < 0 || caller >= n_cfgs || callee < 0 || callee >= n_cfgs
-        then
-          fail
-            (Invalid_profile
-               {
-                 proc = Some caller;
-                 src = None;
-                 dst = None;
-                 reason = Printf.sprintf "call %d->%d names a missing procedure" caller callee;
-               })
-        else if n <= 0 then
-          fail
-            (Invalid_profile
-               {
-                 proc = Some caller;
-                 src = None;
-                 dst = None;
-                 reason = Printf.sprintf "call %d->%d has non-positive count %d" caller callee n;
-               }))
-      t.calls;
-    match !bad with None -> Ok () | Some e -> Error e
-  end
-
 (** [of_assoc ~n_blocks edges] builds a per-procedure profile from raw
     [(src, dst, count)] triples, summing duplicates and dropping zeros.
     Intended for tests and synthetic workloads. *)

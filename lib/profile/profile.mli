@@ -55,16 +55,6 @@ val scale : int -> proc -> proc
     @raise Invalid_argument on shape mismatch. *)
 val merge : proc -> proc -> proc
 
-(** Check every destination is a CFG successor and counts are positive
-    (one procedure). *)
-val validate_proc : Cfg.t -> proc -> (unit, string) result
-
-(** Validate a whole-program profile against the program it claims to
-    describe: procedure count, per-proc block counts, dangling labels,
-    non-positive counts, call-graph well-formedness.  The first violation
-    is reported as a typed error naming the procedure and edge. *)
-val validate : Cfg.t array -> t -> (unit, Ba_robust.Errors.t) result
-
 (** Build a per-procedure profile from raw [(src, dst, count)] triples,
     summing duplicates and dropping zeros. *)
 val of_assoc : n_blocks:int -> (int * int * int) list -> proc

@@ -492,7 +492,6 @@ let run ?budget st =
   in
   let m2_before = st.moves_2opt and m3_before = st.moves_3opt in
   let splits_before = seg_splits st and rebal_before = rebalances st in
-  let t0 = Ba_obs.Mono.now_ns () in
   (try
      while not (Queue.is_empty st.queue) do
        if exhausted () then raise_notrace Exit;
@@ -514,23 +513,15 @@ let run ?budget st =
      done
    with Exit -> ());
   (* observability: a handful of atomic adds per run call, never per
-     move; the per-representation pair feeds the moves_per_s split in
-     bench --json *)
-  let dt_ns = Int64.to_int (Int64.sub (Ba_obs.Mono.now_ns ()) t0) in
-  let dmoves = st.moves_2opt - m2_before + (st.moves_3opt - m3_before) in
+     move *)
   Ba_obs.Metrics.(
     incr ~n:(st.moves_2opt - m2_before) Moves_2opt;
     incr ~n:(st.moves_3opt - m3_before) Moves_3opt;
-    match Tour_repr.kind_of st.repr with
-    | Tour_repr.Two_level ->
-        incr ~n:dmoves Moves_two_level_repr;
-        incr ~n:dt_ns Run_ns_two_level_repr;
-        incr ~n:(seg_splits st - splits_before) Segment_splits;
-        incr ~n:(rebalances st - rebal_before) Segment_rebalances;
-        set_gauge Tsp_segments (segments st)
-    | _ ->
-        incr ~n:dmoves Moves_array_repr;
-        incr ~n:dt_ns Run_ns_array_repr)
+    if Tour_repr.kind_of st.repr = Tour_repr.Two_level then begin
+      incr ~n:(seg_splits st - splits_before) Segment_splits;
+      incr ~n:(rebalances st - rebal_before) Segment_rebalances;
+      set_gauge Tsp_segments (segments st)
+    end)
 
 (** Current tour (copied). *)
 let tour st = Tour_repr.to_array st.repr

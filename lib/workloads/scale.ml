@@ -24,7 +24,7 @@
     Every instance has exactly [n] blocks, entry 0, [Exit] at n−1, is
     fully reachable ([Cfg.validate ~strict] passes), and ships a
     flow-conserving (loop-nest, interp) or locally consistent (switch)
-    edge profile that passes [Profile.validate_proc] and [Lint.gate]. *)
+    edge profile that passes [Lint.gate]. *)
 
 open Ba_cfg
 module Profile = Ba_profile.Profile

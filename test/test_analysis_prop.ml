@@ -177,10 +177,10 @@ let prop_estimate_valid =
     (fun seed ->
       let g = cfg_of ~seed ~max_n:60 in
       let profile = Estimate.program [| g |] in
-      (match Profile.validate [| g |] profile with
+      (match Ba_check.Lint.gate ~profile [| g |] with
       | Ok () -> ()
       | Error e ->
-          QCheck2.Test.fail_reportf "estimate does not validate: %s"
+          QCheck2.Test.fail_reportf "estimate fails the lint gate: %s"
             (Ba_robust.Errors.to_string e));
       check_flow g profile.Profile.procs.(0);
       (* no profile-rule errors, and BA207 must not fire at all *)

@@ -49,6 +49,17 @@ let test_row_cycles_sane () =
   Alcotest.(check bool) "tsp cycles <= original cycles" true
     (r.R.tsp_self.R.cycles <= r.R.original.R.cycles)
 
+(* every one of the row's seven programs gets a certificate per
+   procedure; the self-trained TSP ones check the solver's own claimed
+   walk cost and the Held–Karp bound it fed *)
+let test_row_certificates () =
+  let r = Lazy.force row in
+  Alcotest.(check int) "7 certificates per procedure" (7 * r.R.n_procs)
+    r.R.certs;
+  Alcotest.(check int) "no certificate fails" 0 r.R.cert_failures;
+  Alcotest.(check bool) "bound <= tsp penalty" true
+    (r.R.lower_bound <= r.R.tsp_self.R.penalty)
+
 let test_row_timings_recorded () =
   let r = Lazy.force row in
   let s = r.R.stages in
@@ -108,6 +119,13 @@ let test_timing_of_spans () =
 
 (* ---------------- synthetic corpus ---------------- *)
 
+(* one procedure through the driver's validation front door *)
+let gate_proc g prof =
+  Ba_check.Lint.gate
+    ~profile:{ Ba_profile.Profile.procs = [| prof |]; calls = [] }
+    [| g |]
+  |> Result.map_error Ba_robust.Errors.to_string
+
 let test_synthetic_instances_valid () =
   let corpus = Ba_harness.Synthetic.corpus ~sizes:[ 5; 9; 14 ] ~per_size:3 () in
   Alcotest.(check int) "corpus size" 9 (List.length corpus);
@@ -116,7 +134,7 @@ let test_synthetic_instances_valid () =
       (match Ba_cfg.Cfg.validate g with
       | Ok () -> ()
       | Error m -> Alcotest.failf "%s: %s" name m);
-      match Ba_profile.Profile.validate_proc g prof with
+      match gate_proc g prof with
       | Ok () -> ()
       | Error m -> Alcotest.failf "%s profile: %s" name m)
     corpus
@@ -137,7 +155,7 @@ let test_workload_instances () =
   Alcotest.(check bool) "enough instances" true (List.length insts >= 6);
   List.iter
     (fun { Ba_harness.Synthetic.name; g; prof } ->
-      match Ba_profile.Profile.validate_proc g prof with
+      match gate_proc g prof with
       | Ok () -> ()
       | Error m -> Alcotest.failf "%s: %s" name m)
     insts
@@ -253,6 +271,7 @@ let () =
           Alcotest.test_case "cross-validation sane" `Slow
             test_row_cross_validation_sane;
           Alcotest.test_case "cycles sane" `Slow test_row_cycles_sane;
+          Alcotest.test_case "certificates" `Slow test_row_certificates;
           Alcotest.test_case "timings recorded" `Slow test_row_timings_recorded;
           Alcotest.test_case "timing from spans" `Quick test_timing_of_spans;
         ] );

@@ -65,15 +65,23 @@ let test_prediction_tie_break () =
   Alcotest.(check (option int)) "tie towards smaller" (Some 0) (Profile.predicted p 0)
 
 let test_validate () =
+  (* Lint.gate is the profile validator: the collected profile passes,
+     a transfer along a non-edge is rejected *)
   let g = diamond () in
   let prof = collect_diamond () in
-  (match Profile.validate_proc g (Profile.proc prof 0) with
+  (match Ba_check.Lint.gate ~profile:prof [| g |] with
   | Ok () -> ()
-  | Error m -> Alcotest.fail m);
-  let bad = Profile.of_assoc ~n_blocks:5 [ (0, 3, 1) ] in
-  match Profile.validate_proc g bad with
+  | Error e -> Alcotest.fail (Ba_robust.Errors.to_string e));
+  let bad = { prof with Profile.procs = [| Profile.of_assoc ~n_blocks:5 [ (0, 3, 1) ] |] } in
+  (match Ba_check.Lint.gate ~profile:bad [| g |] with
   | Ok () -> Alcotest.fail "0->3 is not a CFG edge"
-  | Error _ -> ()
+  | Error (Ba_robust.Errors.Invalid_profile _) -> ()
+  | Error e -> Alcotest.fail (Ba_robust.Errors.to_string e));
+  let rules =
+    List.map (fun d -> d.Ba_check.Diagnostic.rule)
+      (Ba_check.Lint.analyze ~profile:bad [| g |]).Ba_check.Lint.diags
+  in
+  Alcotest.(check bool) "prof-non-edge reported" true (List.mem "prof-non-edge" rules)
 
 let test_of_assoc_merges_duplicates () =
   let p = Profile.of_assoc ~n_blocks:3 [ (0, 1, 2); (0, 1, 3); (1, 2, 1) ] in

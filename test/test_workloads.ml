@@ -325,9 +325,6 @@ let test_scale_counts_and_validity () =
       (match Cfg.validate ~strict:true g with
       | Ok () -> ()
       | Error m -> Alcotest.failf "%s: %s" what m);
-      (match Ba_profile.Profile.validate_proc g p with
-      | Ok () -> ()
-      | Error m -> Alcotest.failf "%s profile: %s" what m);
       match
         Ba_check.Lint.gate
           ~profile:{ Ba_profile.Profile.procs = [| p |]; calls = [] }
@@ -517,9 +514,15 @@ let test_profiles_touch_sites () =
           Array.iteri
             (fun fid g ->
               let p = Ba_profile.Profile.proc prof fid in
-              (match Ba_profile.Profile.validate_proc g p with
+              (match
+                 Ba_check.Lint.gate
+                   ~profile:{ Ba_profile.Profile.procs = [| p |]; calls = [] }
+                   [| g |]
+               with
               | Ok () -> ()
-              | Error m -> Alcotest.failf "%s: %s" w.W.name m);
+              | Error e ->
+                  Alcotest.failf "%s: %s" w.W.name
+                    (Ba_robust.Errors.to_string e));
               touched := !touched + Ba_profile.Profile.branch_sites_touched g p;
               executed := !executed + Ba_profile.Profile.executed_branches g p)
             c.Ba_minic.Compile.cfgs;

@@ -132,22 +132,6 @@ let check_bench path =
      || date.[19] <> 'Z'
   then die "date %S is not ISO-8601 UTC" date;
   if str (member "model" doc) = "" then die "empty model";
-  (* the per-representation solver split, when the document carries one *)
-  (match Json.member "solver" doc with
-  | None -> ()
-  | Some s ->
-      List.iter
-        (fun repr ->
-          let o = member repr s in
-          List.iter
-            (fun k ->
-              if num (member k o) < 0. then
-                die "negative solver %s.%s" repr k)
-            [ "moves"; "run_s"; "moves_per_s" ])
-        [ "array"; "two_level" ];
-      List.iter
-        (fun k -> if num (member k s) < 0. then die "negative solver %s" k)
-        [ "segment_splits"; "segment_rebalances" ]);
   let rows = list (member "rows" doc) in
   if rows = [] then die "no rows";
   List.iter
