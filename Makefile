@@ -2,7 +2,6 @@
 
 DUNE ?= dune
 BALIGN = $(DUNE) exec --no-print-directory bin/balign.exe --
-BENCH = $(DUNE) exec --no-print-directory bench/main.exe --
 
 .PHONY: all build test check check-par smoke lint analyze report \
   bench-json serve-soak clean
@@ -24,14 +23,14 @@ test:
 # (lib/obs), budgets and the serve latency histogram read the clock
 # directly.
 check: build test smoke lint
-	@! grep -rn gettimeofday lib bin bench || { echo "check FAIL: gettimeofday outside Ba_obs.Mono"; exit 1; }
+	@! grep -rn gettimeofday lib bin || { echo "check FAIL: gettimeofday outside Ba_obs.Mono"; exit 1; }
 	@! grep -rnE 'Mono\.(now_ns|since_s)' lib \
 	  | grep -vE '^lib/(obs/|robust/budget\.ml:|serve/server\.ml:)' \
 	  || { echo "check FAIL: clock read outside spans (see Makefile check)"; exit 1; }
 
 # The smoke test drives the built binary through the failure paths that
-# docs/ROBUSTNESS.md documents and checks the exit codes line up; the
-# bench harness must reject a misspelled section name.
+# docs/ROBUSTNESS.md documents and checks the exit codes line up;
+# `report` must reject a misspelled section name.
 smoke: build
 	@tmp=$$(mktemp -d); trap 'rm -rf '"$$tmp" EXIT; \
 	printf 'fn main() { print(1); }' > $$tmp/ok.mc; \
@@ -43,7 +42,8 @@ smoke: build
 	  "4:align $$tmp/ok.mc --input 1,two,3" \
 	  "2:align $$tmp/ok.mc --input 1 --input-file $$tmp/ok.mc" \
 	  "7:align $$tmp/ok.mc --deadline-ms 0 --fallback none" \
-	  "2:bench nosuchbench"; \
+	  "2:bench nosuchbench" \
+	  "2:report tabel1"; \
 	for case in "$$@"; do \
 	  want=$${case%%:*}; cmd=$${case#*:}; \
 	  $(BALIGN) $$cmd >/dev/null 2>&1; got=$$?; \
@@ -51,37 +51,31 @@ smoke: build
 	    echo "smoke FAIL: balign $$cmd -> exit $$got (want $$want)"; exit 1; \
 	  fi; \
 	  echo "smoke ok  : balign $$cmd -> exit $$got"; \
-	done; \
-	$(BENCH) tabel1 >/dev/null 2>&1; got=$$?; \
-	if [ "$$got" -ne 2 ]; then \
-	  echo "smoke FAIL: bench/main.exe tabel1 -> exit $$got (want 2)"; exit 1; \
-	fi; \
-	echo "smoke ok  : bench/main.exe tabel1 -> exit $$got"
+	done
 
-# Parallel determinism gate: the full test suite, then the bench
-# summary + CSV export at --jobs 1 vs a real domain pool (at least 4
-# domains, so the pool is exercised even on small CI boxes).  Stdout
-# and the deterministic CSVs (spec92/spec95/appendix — everything but
-# the timing files) must be byte-identical; the wall-clock ratio of the
+# Parallel determinism gate: the full test suite, then the report
+# summary + results/ export at --jobs 1 vs a real domain pool (at least
+# 4 domains, so the pool is exercised even on small CI boxes).  Stdout
+# and the committed results (spec92/spec95/appendix.csv and report.txt
+# — everything but the timing files) must be byte-identical across job
+# counts and equal to the committed files; the wall-clock ratio of the
 # two runs is reported as the parallel speedup.
 check-par: build test
 	@tmp=$$(mktemp -d); trap 'rm -rf '"$$tmp" EXIT; \
 	j=$$(nproc 2>/dev/null || echo 4); [ "$$j" -lt 4 ] && j=4; \
-	echo "check-par: bench summary+csv at --jobs 1..."; \
-	s1=$$(date +%s%N); \
-	$(BENCH) summary csv --jobs 1 > $$tmp/out.1 2> $$tmp/err.1; \
-	e1=$$(date +%s%N); \
-	mkdir -p $$tmp/csv.1 $$tmp/csv.max; \
-	cp results/spec92.csv results/spec95.csv results/appendix.csv $$tmp/csv.1/; \
-	echo "check-par: bench summary+csv at --jobs $$j..."; \
-	s2=$$(date +%s%N); \
-	$(BENCH) summary csv --jobs $$j > $$tmp/out.max 2> $$tmp/err.max; \
-	e2=$$(date +%s%N); \
-	cp results/spec92.csv results/spec95.csv results/appendix.csv $$tmp/csv.max/; \
-	diff -u $$tmp/out.1 $$tmp/out.max \
+	committed="results/spec92.csv results/spec95.csv results/appendix.csv results/report.txt"; \
+	for n in 1 $$j; do \
+	  echo "check-par: report summary csv at --jobs $$n..."; \
+	  s=$$(date +%s%N); \
+	  $(BALIGN) report summary csv --jobs $$n > $$tmp/out.$$n 2>/dev/null \
+	    || { echo "check-par FAIL: report exited $$?"; exit 1; }; \
+	  echo $$(( $$(date +%s%N) - s )) > $$tmp/ns.$$n; \
+	  mkdir $$tmp/res.$$n; cp $$committed $$tmp/res.$$n/; \
+	done; \
+	diff -u $$tmp/out.1 $$tmp/out.$$j \
 	  || { echo "check-par FAIL: stdout differs across job counts"; exit 1; }; \
-	diff -ur $$tmp/csv.1 $$tmp/csv.max \
-	  || { echo "check-par FAIL: deterministic CSVs differ across job counts"; exit 1; }; \
+	diff -ur $$tmp/res.1 $$tmp/res.$$j \
+	  || { echo "check-par FAIL: committed results differ across job counts"; exit 1; }; \
 	echo "check-par: balign align stdout + bench --json at --jobs 1 vs $$j..."; \
 	$(BALIGN) align examples/programs/collatz.mc --input 40 \
 	  > $$tmp/align.1 2>/dev/null; \
@@ -99,8 +93,9 @@ check-par: build test
 	mask $$tmp/bmax.json > $$tmp/bmax.masked; \
 	diff -u $$tmp/b1.masked $$tmp/bmax.masked \
 	  || { echo "check-par FAIL: bench --json differs across job counts"; exit 1; }; \
-	sed -n 's/^/  /p' $$tmp/err.1 $$tmp/err.max | grep wall-clock || true; \
-	awk -v a=$$((e1-s1)) -v b=$$((e2-s2)) 'BEGIN { \
+	git diff --exit-code -- results/ \
+	  || { echo "check-par FAIL: results/ differs from the committed files (rerun balign report csv and commit)"; exit 1; }; \
+	awk -v a=$$(cat $$tmp/ns.1) -v b=$$(cat $$tmp/ns.$$j) 'BEGIN { \
 	  printf "check-par ok: output identical; wall-clock %.1fs -> %.1fs (speedup x%.2f)\n", \
 	    a/1e9, b/1e9, a/b }'
 
@@ -172,8 +167,10 @@ serve-soak: build
 	  --serve-soak SERVE_SOAK.json
 	@echo "serve-soak ok: SERVE_SOAK.json written"
 
-report:
-	$(DUNE) exec bench/main.exe
+# Print every section, then rewrite the committed results/ files.
+report: build
+	$(BALIGN) report
+	$(BALIGN) report csv
 
 clean:
 	$(DUNE) clean

@@ -13,7 +13,8 @@
      evaluate  cross-validate training vs testing inputs
      bounds    per-procedure lower bounds vs the TSP aligner
      bench     run the paper's experiment for one built-in benchmark
-     report    print the paper's tables/figures (same as bench/main.exe)
+     report    print the paper's tables, figures and extension studies;
+               `report csv` rewrites the committed results/ files
 
    Every failure is a typed Ba_robust.Errors.t mapped to a documented
    exit code (see docs/ROBUSTNESS.md); commands never exit from the
@@ -879,52 +880,117 @@ let serve_cmd =
 
 (* ---------------- report ---------------- *)
 
-let report_cmd =
-  let known =
-    [ "table1"; "table2"; "table3"; "table4"; "fig2"; "fig3"; "summary" ]
+(** Every section of the paper's report, in print order: Tables 1-4,
+    Figures 2-3, the appendix, the summary, the extension studies, and
+    [csv], which writes the committed results/ files.  Suites and
+    studies are lazy, so a run computes each at most once whatever
+    sections it names; progress goes to stderr, so stdout is
+    bit-identical at any --jobs. *)
+let report_sections ~jobs : (string * (Format.formatter -> unit)) list =
+  let module H = Ba_harness in
+  let computed what f =
+    lazy
+      (Fmt.epr "running %s...@." what;
+       f ())
   in
-  let run sections jobs model =
-    let* () =
-      match List.filter (fun s -> not (List.mem s known)) sections with
-      | [] -> Ok ()
-      | bad ->
-          Error
-            (Errors.Usage
-               (Printf.sprintf "unknown section(s) %s (have: %s)"
-                  (String.concat ", " bad)
-                  (String.concat ", " known)))
+  let executor = Executor.of_jobs jobs in
+  let suite name workloads =
+    computed
+      (Printf.sprintf "the %s suite (jobs=%d)" name jobs)
+      (fun () -> H.Runner.run_all ~executor ~workloads ())
+  in
+  let rows = suite "spec92" Ba_workloads.Workload.all in
+  let rows95 = suite "spec95" Ba_workloads.Workload95.all in
+  let bounds =
+    computed "the appendix bound study" (fun () ->
+        H.Appendix.study
+          (H.Synthetic.workload_instances ()
+          @ H.Synthetic.corpus ~sizes:[ 6; 10; 14; 24 ] ~per_size:3 ()))
+  in
+  let on rows printers ppf =
+    List.iter (fun p -> p ppf (Lazy.force rows)) printers
+  in
+  let study what run print =
+    let r = computed what run in
+    fun ppf -> print ppf (Lazy.force r)
+  in
+  let printed =
+    H.Tables.
+      [
+        ("table1", on rows [ table1 ]);
+        ("table2", on rows [ table2 ]);
+        ("table3", fun ppf -> table3 ppf Ba_machine.Penalties.alpha_21164);
+        ("table4", on rows [ table4 ]);
+        ("fig2", on rows [ fig2_penalties; fig2_times ]);
+        ("fig3", on rows [ fig3_penalties; fig3_times ]);
+        ("appendix", fun ppf -> appendix ppf (Lazy.force bounds));
+        ("summary", on rows [ summary ]);
+        ( "spec95",
+          fun ppf ->
+            Fmt.pf ppf "@.";
+            on rows95
+              [ table1; table4; fig2_penalties; fig2_times; fig3_penalties;
+                fig3_times; summary ]
+              ppf );
+        ( "dynamic",
+          study "the dynamic-prediction extension" H.Dyn_exp.run
+            H.Dyn_exp.print );
+        ( "procorder",
+          study "the interprocedural-placement extension" H.Interproc.run
+            H.Interproc.print );
+        ( "btfnt",
+          study "the BTFNT extension" H.Btfnt_exp.run H.Btfnt_exp.print );
+        ( "replication",
+          study "the code-replication extension" H.Replication.run_all
+            H.Replication.print );
+        ( "ablation",
+          study "the solver ablations" H.Ablation.run H.Ablation.print );
+      ]
+  in
+  let csv ppf =
+    (* table2 holds wall-clock seconds: the archive keeps the rest *)
+    let report fppf =
+      List.iter
+        (fun (name, print) -> if name <> "table2" then print fppf)
+        printed
     in
-    let rows =
-      Ba_harness.Runner.run_all
-        ~config:{ Ba_harness.Runner.default with Ba_harness.Runner.model }
-        ~executor:(Executor.of_jobs jobs) ()
-    in
-    let want s = sections = [] || List.mem s sections in
-    if want "table1" then Ba_harness.Tables.table1 Fmt.stdout rows;
-    if want "table2" then Ba_harness.Tables.table2 Fmt.stdout rows;
-    if want "table3" then
-      Ba_harness.Tables.table3 Fmt.stdout model.Ba_machine.Model.penalties;
-    if want "table4" then Ba_harness.Tables.table4 Fmt.stdout rows;
-    if want "fig2" then begin
-      Ba_harness.Tables.fig2_penalties Fmt.stdout rows;
-      Ba_harness.Tables.fig2_times Fmt.stdout rows
-    end;
-    if want "fig3" then begin
-      Ba_harness.Tables.fig3_penalties Fmt.stdout rows;
-      Ba_harness.Tables.fig3_times Fmt.stdout rows
-    end;
-    if want "summary" then Ba_harness.Tables.summary Fmt.stdout rows;
-    Ok ()
+    let rows = Lazy.force rows and rows95 = Lazy.force rows95 in
+    List.iter (Fmt.pf ppf "wrote %s@.")
+      (H.Csv.export ~dir:"results" ~rows ~rows95
+         ~appendix:(Lazy.force bounds) ~report);
+    List.iter (Fmt.epr "wrote %s@.")
+      (H.Csv.export_timings ~dir:"results" ~rows ~rows95)
+  in
+  printed @ [ ("csv", csv) ]
+
+let report_cmd =
+  let known = List.map fst (report_sections ~jobs:1) in
+  let run names jobs =
+    match List.filter (fun s -> not (List.mem s known)) names with
+    | _ :: _ as bad ->
+        Error
+          (Errors.Usage
+             (Printf.sprintf "unknown section(s) %s (have: %s)"
+                (String.concat ", " bad) (String.concat ", " known)))
+    | [] ->
+        List.iter
+          (fun (name, print) ->
+            if List.mem name names || (names = [] && name <> "csv") then
+              print Fmt.stdout)
+          (report_sections ~jobs);
+        Ok ()
   in
   let sections =
     Arg.(value & pos_all string [] & info [] ~docv:"SECTION"
-           ~doc:"table1 table2 table3 table4 fig2 fig3 summary (default: all)")
+           ~doc:(Printf.sprintf
+                   "sections to print, from: %s.  Default: every section \
+                    but $(b,csv), which writes results/."
+                   (String.concat " " known)))
   in
-  cmd "report" ~doc:"print the paper's tables and figures"
-    Term.(const (fun s j mo trace metrics ->
-              run_term (fun () ->
-                  with_obs ~trace ~metrics (fun () -> run s j mo)))
-          $ sections $ jobs_opt $ model_opt $ trace_opt $ metrics_opt)
+  cmd "report" ~doc:"print the paper's tables, figures and extension studies"
+    Term.(const (fun s j trace metrics ->
+              run_term (fun () -> with_obs ~trace ~metrics (fun () -> run s j)))
+          $ sections $ jobs_opt $ trace_opt $ metrics_opt)
 
 (* ---------------- main ---------------- *)
 

@@ -1,19 +1,6 @@
 (** CSV export of the experiment results, for plotting the figures with
-    external tools.  One file per table/figure, written under a results
-    directory. *)
-
-let write_file path lines =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun line ->
-          output_string oc line;
-          output_char oc '\n')
-        lines)
-
-let frac a b = if b = 0 then 1.0 else float_of_int a /. float_of_int b
+    external tools, plus the text archive of the report.  One file per
+    table/figure, written under a results directory. *)
 
 (** [rows_csv rows] renders the full measurement set — one line per
     benchmark/data-set pair, raw counts plus normalized series for both
@@ -39,11 +26,11 @@ let rows_csv (rows : Runner.row list) : string list =
            oc
            (c r.Runner.greedy_self) (c r.Runner.tsp_self)
            (c r.Runner.greedy_cross) (c r.Runner.tsp_cross)
-           (frac (m r.Runner.greedy_self) op)
-           (frac (m r.Runner.tsp_self) op)
-           (frac r.Runner.lower_bound op)
-           (frac (c r.Runner.greedy_self) oc)
-           (frac (c r.Runner.tsp_self) oc))
+           (Tables.ratio (m r.Runner.greedy_self) op)
+           (Tables.ratio (m r.Runner.tsp_self) op)
+           (Tables.ratio r.Runner.lower_bound op)
+           (Tables.ratio (c r.Runner.greedy_self) oc)
+           (Tables.ratio (c r.Runner.tsp_self) oc))
        rows
 
 (** [timing_csv rows] renders the wall-clock side of the measurement
@@ -78,36 +65,38 @@ let appendix_csv (s : Appendix.stats) : string list =
            r.Appendix.runs_with_best r.Appendix.runs)
        s.Appendix.instances
 
-(** [export ~dir ~rows ~rows95 ~appendix] writes all CSV files; returns
-    the paths written. *)
+let lines l = String.concat "" (List.map (fun line -> line ^ "\n") l)
+
+(* write each [(name, contents)] under [dir]; returns the paths *)
+let write_all ~dir files =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  List.map
+    (fun (name, contents) ->
+      let path = Filename.concat dir name in
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+      path)
+    files
+
+(** [export ~dir ~rows ~rows95 ~appendix ~report] writes the committed
+    results: the deterministic CSVs and [report.txt], the text [report]
+    prints; returns the paths written. *)
 let export ~dir ~(rows : Runner.row list) ~(rows95 : Runner.row list)
-    ~(appendix : Appendix.stats option) : string list =
-  (if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
-  let paths = ref [] in
-  let emit name lines =
-    let path = Filename.concat dir name in
-    write_file path lines;
-    paths := path :: !paths
-  in
-  if rows <> [] then emit "spec92.csv" (rows_csv rows);
-  if rows95 <> [] then emit "spec95.csv" (rows_csv rows95);
-  (match appendix with
-  | Some s -> emit "appendix.csv" (appendix_csv s)
-  | None -> ());
-  List.rev !paths
+    ~(appendix : Appendix.stats) ~report : string list =
+  write_all ~dir
+    [
+      ("spec92.csv", lines (rows_csv rows));
+      ("spec95.csv", lines (rows_csv rows95));
+      ("appendix.csv", lines (appendix_csv appendix));
+      ("report.txt", Fmt.str "%t" report);
+    ]
 
 (** [export_timings ~dir ~rows ~rows95] writes the run-dependent timing
     CSVs (separate from {!export} so determinism checks can diff the
-    measurement CSVs alone); returns the paths written. *)
+    committed files alone); returns the paths written. *)
 let export_timings ~dir ~(rows : Runner.row list)
     ~(rows95 : Runner.row list) : string list =
-  (if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
-  let paths = ref [] in
-  let emit name lines =
-    let path = Filename.concat dir name in
-    write_file path lines;
-    paths := path :: !paths
-  in
-  if rows <> [] then emit "timing92.csv" (timing_csv rows);
-  if rows95 <> [] then emit "timing95.csv" (timing_csv rows95);
-  List.rev !paths
+  write_all ~dir
+    [
+      ("timing92.csv", lines (timing_csv rows));
+      ("timing95.csv", lines (timing_csv rows95));
+    ]

@@ -1,4 +1,5 @@
-(** CSV export of the experiment results, for external plotting. *)
+(** CSV export of the experiment results, for external plotting, and
+    the text archive of the report. *)
 
 (** Full measurement set, one line per benchmark/data-set pair.
     Deterministic: no wall-clock columns, diffs clean across job
@@ -13,13 +14,15 @@ val timing_csv : Runner.row list -> string list
 (** Per-instance bound study. *)
 val appendix_csv : Appendix.stats -> string list
 
-(** Write the deterministic CSV files under [dir]; returns the paths
-    written. *)
+(** Write the committed results under [dir]: spec92.csv, spec95.csv,
+    appendix.csv and report.txt (the text [report] prints); returns the
+    paths written. *)
 val export :
   dir:string ->
   rows:Runner.row list ->
   rows95:Runner.row list ->
-  appendix:Appendix.stats option ->
+  appendix:Appendix.stats ->
+  report:(Format.formatter -> unit) ->
   string list
 
 (** Write the run-dependent timing CSVs under [dir]; returns the paths

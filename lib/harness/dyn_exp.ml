@@ -56,34 +56,36 @@ let run_all ?config () : row list =
     (fun w -> List.map (fun ds -> run_one ?config w ~test:ds) (W.dataset_list w))
     W.all
 
-let print ppf (rows : row list) =
-  Fmt.pf ppf "@.%s@." (String.make 78 '-');
-  Fmt.pf ppf
-    "Extension: penalties under dynamic prediction hardware (BHT+BTB)@.";
-  Fmt.pf ppf "%s@." (String.make 78 '-');
+(** A 64-entry BHT: small enough that layout-dependent aliasing between
+    branches becomes visible (the paper's footnote 6). *)
+let tiny_bht = { Ba_machine.Predictor.default with bht_entries = 64 }
+
+let run () = (run_all (), run_all ~config:tiny_bht ())
+
+let print_rows ppf (rows : row list) =
+  Tables.section ppf
+    "Extension: penalties under dynamic prediction hardware (BHT+BTB)";
   Fmt.pf ppf "%-9s | %9s %7s %7s | %9s %7s %7s | %s@." "bench.ds" "static-o"
     "greedy" "tsp" "dyn-o" "greedy" "tsp" "dyn mispredicts o/g/t";
-  let norm v o = if o = 0 then 1.0 else float_of_int v /. float_of_int o in
-  let sg = ref [] and st = ref [] and dg = ref [] and dt = ref [] in
+  (* greedy and tsp normalized to the original *)
+  let greedy (o, g, _) = Tables.ratio g o and tsp (o, _, t) = Tables.ratio t o in
   List.iter
     (fun r ->
-      let o_s, g_s, t_s = r.static_ in
-      let o_d, g_d, t_d = r.dynamic in
+      let o_s, _, _ = r.static_ and o_d, _, _ = r.dynamic in
       let o_m, g_m, t_m = r.dynamic_mispredicts in
-      sg := norm g_s o_s :: !sg;
-      st := norm t_s o_s :: !st;
-      dg := norm g_d o_d :: !dg;
-      dt := norm t_d o_d :: !dt;
       Fmt.pf ppf "%-9s | %9d %7.3f %7.3f | %9d %7.3f %7.3f | %d/%d/%d@."
-        (r.bench ^ "." ^ r.ds) o_s (norm g_s o_s) (norm t_s o_s) o_d
-        (norm g_d o_d) (norm t_d o_d) o_m g_m t_m)
+        (r.bench ^ "." ^ r.ds) o_s (greedy r.static_) (tsp r.static_) o_d
+        (greedy r.dynamic) (tsp r.dynamic) o_m g_m t_m)
     rows;
-  let mean l =
-    match l with [] -> 0.0 | _ -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-  in
+  let mean f = Tables.mean (List.map f rows) in
   Fmt.pf ppf "%-9s | %9s %7.3f %7.3f | %9s %7.3f %7.3f |@." "MEAN" ""
-    (mean !sg) (mean !st) "" (mean !dg) (mean !dt);
-  Fmt.pf ppf
-    "reading: with hardware prediction the penalty pool shrinks, but layout@.";
-  Fmt.pf ppf
-    "ranking is preserved; alignment still removes the misfetch component.@."
+    (mean (fun r -> greedy r.static_))
+    (mean (fun r -> tsp r.static_))
+    ""
+    (mean (fun r -> greedy r.dynamic))
+    (mean (fun r -> tsp r.dynamic))
+
+let print ppf (default, tiny) =
+  print_rows ppf default;
+  Fmt.pf ppf "@.same, with a tiny 64-entry BHT (aliasing regime):@.";
+  print_rows ppf tiny

@@ -156,9 +156,8 @@ let run ?(n_funcs = 24) ?(iterations = 6_000) () : result =
   }
 
 let print ppf (r : result) =
-  Fmt.pf ppf "@.%s@." (String.make 78 '-');
-  Fmt.pf ppf "Extension: interprocedural placement (Pettis-Hansen procedure ordering)@.";
-  Fmt.pf ppf "%s@." (String.make 78 '-');
+  Tables.section ppf
+    "Extension: interprocedural placement (Pettis-Hansen procedure ordering)";
   Fmt.pf ppf
     "%d procedures, %d instructions of code (I-cache holds 2048), %d dynamic calls@."
     r.n_funcs r.total_instrs r.calls;

@@ -70,27 +70,17 @@ let run_all ?config () : row list =
     W.all
 
 let print ppf (rows : row list) =
-  Fmt.pf ppf "@.%s@." (String.make 78 '-');
-  Fmt.pf ppf
-    "Extension: tail duplication + TSP alignment (code replication [15,22])@.";
-  Fmt.pf ppf "%s@." (String.make 78 '-');
+  Tables.section ppf
+    "Extension: tail duplication + TSP alignment (code replication [15,22])";
   Fmt.pf ppf "%-9s %7s %8s %8s %12s %12s %12s %12s@." "bench.ds" "clones"
     "code" "code'" "penalty" "penalty'" "cycles" "cycles'";
-  let dp = ref [] and dc = ref [] in
   List.iter
     (fun r ->
-      let f a b = if a = 0 then 1.0 else float_of_int b /. float_of_int a in
-      dp := f r.penalty_before r.penalty_after :: !dp;
-      dc := f r.cycles_before r.cycles_after :: !dc;
       Fmt.pf ppf "%-9s %7d %8d %8d %12d %12d %12d %12d@."
         (r.bench ^ "." ^ r.ds) r.clones r.code_before r.code_after
         r.penalty_before r.penalty_after r.cycles_before r.cycles_after)
     rows;
-  let mean l =
-    match l with
-    | [] -> 1.0
-    | _ -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-  in
-  Fmt.pf ppf
-    "mean post/pre ratios: penalties %.3f, cycles %.3f (code grows; branches fall)@."
-    (mean !dp) (mean !dc)
+  let mean f = Tables.mean (List.map f rows) in
+  Fmt.pf ppf "mean post/pre ratios: penalties %.3f, cycles %.3f@."
+    (mean (fun r -> Tables.ratio r.penalty_after r.penalty_before))
+    (mean (fun r -> Tables.ratio r.cycles_after r.cycles_before))

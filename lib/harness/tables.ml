@@ -1,7 +1,7 @@
 (** Table and figure printers: each function regenerates one table or
     figure of the paper from measured rows (same rows/series, our
-    numbers).  Output is plain text so `bench/main.exe | tee` archives
-    cleanly. *)
+    numbers).  Output is plain text; `balign report csv` archives every
+    deterministic section in results/report.txt. *)
 
 let hr ppf = Fmt.pf ppf "%s@." (String.make 78 '-')
 

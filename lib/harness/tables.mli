@@ -1,7 +1,14 @@
 (** Table and figure printers: each function regenerates one table or
     figure of the paper from measured rows. *)
 
+(** A titled banner; every table, figure and study opens with one. *)
 val section : Format.formatter -> string -> unit
+
+(** [ratio a b] is [a / b], or 1.0 when [b = 0]. *)
+val ratio : int -> int -> float
+
+(** Arithmetic mean; 0.0 for the empty list. *)
+val mean : float list -> float
 
 (** Table 1: benchmark and data-set inventory. *)
 val table1 : Format.formatter -> Runner.row list -> unit

@@ -198,6 +198,16 @@ let test_dyn_exp_row () =
   Alcotest.(check bool) "aligned better under hardware too" true
     (g_d < o_d && t_d < o_d)
 
+let test_btfnt_exp_row () =
+  let w = W.su2 in
+  let r = Ba_harness.Btfnt_exp.run_one w ~test:(snd w.W.datasets) in
+  let open Ba_harness.Btfnt_exp in
+  Alcotest.(check bool) "original pays penalties" true (r.original > 0);
+  (* straightening hot fall-throughs helps under BTFNT as well, even
+     though neither aligner models direction-based prediction *)
+  Alcotest.(check bool) "aligned better under BTFNT" true
+    (r.greedy < r.original && r.tsp < r.original)
+
 let test_interproc_experiment () =
   let r = Ba_harness.Interproc.run ~n_funcs:10 ~iterations:1_500 () in
   Alcotest.(check int) "procedures" 12 r.Ba_harness.Interproc.n_funcs;
@@ -285,6 +295,7 @@ let () =
       ( "extensions",
         [
           Alcotest.test_case "dynamic-prediction row" `Slow test_dyn_exp_row;
+          Alcotest.test_case "btfnt row" `Slow test_btfnt_exp_row;
           Alcotest.test_case "interprocedural experiment" `Slow
             test_interproc_experiment;
           Alcotest.test_case "csv rendering" `Slow test_csv_rendering;
