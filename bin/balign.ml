@@ -914,6 +914,9 @@ let report_sections ~jobs : (string * (Format.formatter -> unit)) list =
     let r = computed what run in
     fun ppf -> print ppf (Lazy.force r)
   in
+  (* the dynamic, btfnt and replication studies re-price the spec92
+     rows' own layouts *)
+  let of_rows run_one () = List.map run_one (Lazy.force rows) in
   let printed =
     H.Tables.
       [
@@ -933,15 +936,16 @@ let report_sections ~jobs : (string * (Format.formatter -> unit)) list =
                 fig3_times; summary ]
               ppf );
         ( "dynamic",
-          study "the dynamic-prediction extension" H.Dyn_exp.run
+          study "the dynamic-prediction extension" (of_rows H.Dyn_exp.run_one)
             H.Dyn_exp.print );
         ( "procorder",
           study "the interprocedural-placement extension" H.Interproc.run
             H.Interproc.print );
         ( "btfnt",
-          study "the BTFNT extension" H.Btfnt_exp.run H.Btfnt_exp.print );
+          study "the BTFNT extension" (of_rows H.Btfnt_exp.run_one)
+            H.Btfnt_exp.print );
         ( "replication",
-          study "the code-replication extension" H.Replication.run_all
+          study "the code-replication extension" (of_rows H.Replication.run_one)
             H.Replication.print );
         ( "ablation",
           study "the solver ablations" H.Ablation.run H.Ablation.print );

@@ -39,18 +39,3 @@ let exact (m : Ba_machine.Model.t) (cfg : Cfg.t) ~(profile : Profile.proc) :
   if inst.Reduction.dtsp.Dtsp.n <= Exact.max_n then
     Some (snd (Exact.solve inst.Reduction.dtsp))
   else None
-
-(** [program_held_karp p cfgs ~profile ~uppers] sums per-procedure
-    Held–Karp bounds; [uppers.(fid)] is a known layout penalty of
-    procedure [fid]. *)
-let program_held_karp ?config (m : Ba_machine.Model.t) (cfgs : Cfg.t array)
-    ~(profile : Ba_profile.Profile.t) ~(uppers : int array) : int =
-  let total = ref 0 in
-  Array.iteri
-    (fun fid cfg ->
-      total :=
-        !total
-        + held_karp ?config m cfg ~profile:(Profile.proc profile fid)
-            ~upper:uppers.(fid))
-    cfgs;
-  !total

@@ -21,13 +21,3 @@ val ap : Ba_machine.Model.t -> Cfg.t -> profile:Profile.proc -> int
 (** Proven minimum penalty, when the instance is small enough. *)
 val exact :
   Ba_machine.Model.t -> Cfg.t -> profile:Profile.proc -> int option
-
-(** Per-procedure Held–Karp bounds summed over a program;
-    [uppers.(fid)] is a known layout penalty of procedure [fid]. *)
-val program_held_karp :
-  ?config:Ba_tsp.Held_karp.config ->
-  Ba_machine.Model.t ->
-  Cfg.t array ->
-  profile:Ba_profile.Profile.t ->
-  uppers:int array ->
-  int

@@ -101,6 +101,21 @@ let align ?(executor = Executor.Seq) (m : method_) (model : Model.t)
   in
   assemble m cfgs (Array.map (fun o -> o.Task.value) outcomes)
 
+(** [realize m model cfgs orders ~train] is {!align} for layouts
+    already chosen by method [m]: realize each procedure's order against
+    the training profile and assemble the program. *)
+let realize (m : method_) (model : Model.t) (cfgs : Cfg.t array)
+    (orders : Layout.order array) ~(train : Ba_profile.Profile.t) : aligned =
+  assemble m cfgs
+    (Array.mapi
+       (fun fid cfg ->
+         let order = orders.(fid) in
+         let r, pred =
+           Evaluate.realize model cfg ~order ~train:(Profile.proc train fid)
+         in
+         (order, r, pred))
+       cfgs)
+
 (** [analytic_penalty model a ~test] is the modelled control penalty of
     the aligned program when executed on the [test] workload's profile,
     on the model's physical penalties. *)

@@ -58,6 +58,16 @@ val align :
   train:Ba_profile.Profile.t ->
   aligned
 
+(** {!align} for orders already chosen by the given method: realize
+    each procedure's order against the training profile. *)
+val realize :
+  method_ ->
+  Model.t ->
+  Cfg.t array ->
+  Layout.order array ->
+  train:Ba_profile.Profile.t ->
+  aligned
+
 (** Modelled control penalty on the [test] workload's profile, on the
     model's physical penalties. *)
 val analytic_penalty : Model.t -> aligned -> test:Ba_profile.Profile.t -> int

@@ -42,20 +42,3 @@ let proc_penalty (m : Model.t) (cfg : Cfg.t) ~(order : Layout.order)
             ~freqs:(Profile.block_freqs test l))
     cfg;
   !total
-
-(** [program_penalty m cfgs ~orders ~train ~test] sums {!proc_penalty}
-    over all procedures. *)
-let program_penalty (m : Model.t) (cfgs : Cfg.t array)
-    ~(orders : Layout.order array) ~(train : Ba_profile.Profile.t)
-    ~(test : Ba_profile.Profile.t) : int =
-  if Array.length orders <> Array.length cfgs then
-    invalid_arg "Evaluate.program_penalty: shape mismatch";
-  let total = ref 0 in
-  Array.iteri
-    (fun fid cfg ->
-      total :=
-        !total
-        + proc_penalty m cfg ~order:orders.(fid)
-            ~train:(Profile.proc train fid) ~test:(Profile.proc test fid))
-    cfgs;
-  !total

@@ -26,13 +26,3 @@ val proc_penalty :
   train:Profile.proc ->
   test:Profile.proc ->
   int
-
-(** Sum of {!proc_penalty} over all procedures.
-    @raise Invalid_argument on shape mismatch. *)
-val program_penalty :
-  Ba_machine.Model.t ->
-  Cfg.t array ->
-  orders:Layout.order array ->
-  train:Ba_profile.Profile.t ->
-  test:Ba_profile.Profile.t ->
-  int

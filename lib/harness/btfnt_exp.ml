@@ -1,15 +1,12 @@
-(** Extension experiment: the profile-trained layouts evaluated on a
-    BTFNT machine (the paper's footnote 3).
+(** Extension experiment: the runner's profile-trained layouts
+    evaluated on a BTFNT machine (the paper's footnote 3).
 
     Backward-taken / forward-not-taken hardware predicts by branch
     direction, so the prediction depends on the layout itself — the
     assumption the DTSP reduction is built on no longer holds.  For
-    every benchmark/data-set pair, the original, greedy and TSP layouts
-    (trained and tested on the same profile) are priced under BTFNT
-    prediction. *)
-
-module W = Ba_workloads.Workload
-module Driver = Ba_align.Driver
+    every benchmark/data-set row, the original, greedy-self and
+    TSP-self layouts (trained and tested on the same profile) are
+    priced under BTFNT prediction. *)
 
 type row = {
   bench : string;
@@ -19,29 +16,21 @@ type row = {
   tsp : int;
 }
 
-let model = Ba_machine.Model.alpha21164
-
-let run_one (w : W.t) ~(test : W.dataset) : row =
-  let compiled = W.compile w in
-  let cfgs = compiled.Ba_minic.Compile.cfgs in
-  let prof = Ba_minic.Compile.profile compiled ~input:test.W.input in
-  let eval m =
-    let a = Driver.align m model cfgs ~train:prof in
-    Ba_align.Btfnt.program_penalty model.Ba_machine.Model.penalties cfgs
-      ~realized:a.Driver.realized ~test:prof
+let run_one (r : Runner.row) : row =
+  let price (m : Runner.measurement) =
+    let p = m.Runner.program in
+    Ba_align.Btfnt.program_penalty
+      r.Runner.config.Runner.model.Ba_machine.Model.penalties
+      p.Ba_align.Driver.cfgs ~realized:p.Ba_align.Driver.realized
+      ~test:r.Runner.test_profile
   in
   {
-    bench = w.W.name;
-    ds = test.W.ds_name;
-    original = eval Driver.Original;
-    greedy = eval Driver.Greedy;
-    tsp = eval (Driver.Tsp Ba_align.Tsp_align.default);
+    bench = r.Runner.bench;
+    ds = r.Runner.ds;
+    original = price r.Runner.original;
+    greedy = price r.Runner.greedy_self;
+    tsp = price r.Runner.tsp_self;
   }
-
-let run () : row list =
-  List.concat_map
-    (fun w -> List.map (fun ds -> run_one w ~test:ds) (W.dataset_list w))
-    W.all
 
 let print ppf (rows : row list) =
   Tables.section ppf

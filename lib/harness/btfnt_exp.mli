@@ -1,8 +1,6 @@
-(** Extension experiment: the profile-trained layouts evaluated on a
-    BTFNT (backward-taken / forward-not-taken) machine, the paper's
-    footnote 3. *)
-
-module W = Ba_workloads.Workload
+(** Extension experiment: the runner's profile-trained layouts
+    evaluated on a BTFNT (backward-taken / forward-not-taken) machine,
+    the paper's footnote 3. *)
 
 type row = {
   bench : string;
@@ -12,9 +10,8 @@ type row = {
   tsp : int;
 }
 
-val run_one : W.t -> test:W.dataset -> row
-
-(** Every SPEC92 benchmark/data-set pair. *)
-val run : unit -> row list
+(** Price the row's original, greedy-self and TSP-self layouts on its
+    testing profile. *)
+val run_one : Runner.row -> row
 
 val print : Format.formatter -> row list -> unit

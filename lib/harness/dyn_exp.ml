@@ -1,91 +1,104 @@
 (** Extension experiment: branch alignment under {e dynamic} branch
     prediction hardware (the paper's future-work footnote 6).
 
-    For every benchmark/data-set pair, compare control penalties under
-    the static per-branch predictor assumed by the reduction against a
-    trace-driven simulation of BHT+BTB hardware, for the original, greedy
-    and TSP layouts.  The expected shape: dynamic hardware removes most
-    mispredict penalties by itself, so alignment's win shrinks to the
+    For every benchmark/data-set row of the runner, compare control
+    penalties under the static per-branch predictor assumed by the
+    reduction (the row's own penalties) against a trace-driven
+    simulation of BHT+BTB hardware, for the row's original, greedy and
+    TSP layouts — once with the default predictor and once with a tiny
+    BHT.  The expected shape: dynamic hardware removes most mispredict
+    penalties by itself, so alignment's win shrinks to the
     misfetch/fall-through component — but it does not vanish, and the
     layout ranking is unchanged. *)
 
-module W = Ba_workloads.Workload
-module Driver = Ba_align.Driver
+module Dynamic = Ba_machine.Dynamic
+
+type counts = int * int * int
+
+type hw = { penalties : counts; mispredicts : counts }
 
 type row = {
   bench : string;
   ds : string;
-  static_ : int * int * int;  (** original, greedy, tsp *)
-  dynamic : int * int * int;
-  dynamic_mispredicts : int * int * int;
+  static_ : counts;
+  default_bht : hw;
+  tiny_bht : hw;
 }
-
-let model = Ba_machine.Model.alpha21164
-
-let run_one ?(config = Ba_machine.Predictor.default) (w : W.t)
-    ~(test : W.dataset) : row =
-  let compiled = W.compile w in
-  let cfgs = compiled.Ba_minic.Compile.cfgs in
-  let prof = Ba_minic.Compile.profile compiled ~input:test.W.input in
-  let run sink = ignore (Ba_minic.Compile.run compiled ~input:test.W.input ~sink) in
-  let eval m =
-    let a = Driver.align m model cfgs ~train:prof in
-    let static_ = Driver.analytic_penalty model a ~test:prof in
-    let counters, sink =
-      Ba_machine.Dynamic.make_sink ~config model.Ba_machine.Model.penalties
-        ~realized:a.Driver.realized ~addr:a.Driver.addr
-    in
-    run sink;
-    ( static_,
-      counters.Ba_machine.Dynamic.penalty_cycles,
-      counters.Ba_machine.Dynamic.cond_mispredicts )
-  in
-  let o_s, o_d, o_m = eval Driver.Original in
-  let g_s, g_d, g_m = eval Driver.Greedy in
-  let t_s, t_d, t_m = eval (Driver.Tsp Ba_align.Tsp_align.default) in
-  {
-    bench = w.W.name;
-    ds = test.W.ds_name;
-    static_ = (o_s, g_s, t_s);
-    dynamic = (o_d, g_d, t_d);
-    dynamic_mispredicts = (o_m, g_m, t_m);
-  }
-
-let run_all ?config () : row list =
-  List.concat_map
-    (fun w -> List.map (fun ds -> run_one ?config w ~test:ds) (W.dataset_list w))
-    W.all
 
 (** A 64-entry BHT: small enough that layout-dependent aliasing between
     branches becomes visible (the paper's footnote 6). *)
 let tiny_bht = { Ba_machine.Predictor.default with bht_entries = 64 }
 
-let run () = (run_all (), run_all ~config:tiny_bht ())
+let triple f (o, g, t) = (f o, f g, f t)
 
-let print_rows ppf (rows : row list) =
+let run_one (r : Runner.row) : row =
+  let layouts = (r.Runner.original, r.Runner.greedy_self, r.Runner.tsp_self) in
+  (* every simulated predictor listens to one run of the testing input *)
+  let sink = ref Ba_cfg.Trace.null in
+  let simulate config =
+    triple
+      (fun (m : Runner.measurement) ->
+        let counters, s =
+          Dynamic.make_sink ~config
+            r.Runner.config.Runner.model.Ba_machine.Model.penalties
+            ~realized:m.Runner.program.Ba_align.Driver.realized
+            ~addr:m.Runner.program.Ba_align.Driver.addr
+        in
+        sink := Ba_cfg.Trace.tee !sink s;
+        counters)
+      layouts
+  in
+  let default_bht = simulate Ba_machine.Predictor.default in
+  let tiny = simulate tiny_bht in
+  ignore
+    (Ba_minic.Compile.run r.Runner.compiled ~input:r.Runner.test_input
+       ~sink:!sink);
+  let hw counters =
+    {
+      penalties = triple (fun c -> c.Dynamic.penalty_cycles) counters;
+      mispredicts = triple (fun c -> c.Dynamic.cond_mispredicts) counters;
+    }
+  in
+  {
+    bench = r.Runner.bench;
+    ds = r.Runner.ds;
+    static_ = triple (fun (m : Runner.measurement) -> m.Runner.penalty) layouts;
+    default_bht = hw default_bht;
+    tiny_bht = hw tiny;
+  }
+
+let print ppf (rows : row list) =
   Tables.section ppf
     "Extension: penalties under dynamic prediction hardware (BHT+BTB)";
-  Fmt.pf ppf "%-9s | %9s %7s %7s | %9s %7s %7s | %s@." "bench.ds" "static-o"
-    "greedy" "tsp" "dyn-o" "greedy" "tsp" "dyn mispredicts o/g/t";
-  (* greedy and tsp normalized to the original *)
-  let greedy (o, g, _) = Tables.ratio g o and tsp (o, _, t) = Tables.ratio t o in
-  List.iter
-    (fun r ->
-      let o_s, _, _ = r.static_ and o_d, _, _ = r.dynamic in
-      let o_m, g_m, t_m = r.dynamic_mispredicts in
-      Fmt.pf ppf "%-9s | %9d %7.3f %7.3f | %9d %7.3f %7.3f | %d/%d/%d@."
-        (r.bench ^ "." ^ r.ds) o_s (greedy r.static_) (tsp r.static_) o_d
-        (greedy r.dynamic) (tsp r.dynamic) o_m g_m t_m)
-    rows;
-  let mean f = Tables.mean (List.map f rows) in
-  Fmt.pf ppf "%-9s | %9s %7.3f %7.3f | %9s %7.3f %7.3f |@." "MEAN" ""
-    (mean (fun r -> greedy r.static_))
-    (mean (fun r -> tsp r.static_))
-    ""
-    (mean (fun r -> greedy r.dynamic))
-    (mean (fun r -> tsp r.dynamic))
-
-let print ppf (default, tiny) =
-  print_rows ppf default;
-  Fmt.pf ppf "@.same, with a tiny 64-entry BHT (aliasing regime):@.";
-  print_rows ppf tiny
+  (* per layout triple: the original's count, then greedy and tsp
+     normalized to it *)
+  let norm (o, g, t) = (Tables.ratio g o, Tables.ratio t o) in
+  let group c =
+    let o, _, _ = c and g, t = norm c in
+    Fmt.str "%9d %7.3f %7.3f" o g t
+  in
+  let mean f =
+    let m pick = Tables.mean (List.map (fun r -> pick (norm (f r))) rows) in
+    Fmt.str "%9s %7.3f %7.3f" "" (m fst) (m snd)
+  in
+  (* the (static and) hardware penalty groups, then the mispredicts *)
+  let table ~static (hw : row -> hw) =
+    let groups =
+      (if static then [ ("static-o", fun r -> r.static_) ] else [])
+      @ [ ("dyn-o", fun r -> (hw r).penalties) ]
+    in
+    let cells f = String.concat " | " (List.map f groups) in
+    Fmt.pf ppf "%-9s | %s | dyn mispredicts o/g/t@." "bench.ds"
+      (cells (fun (h, _) -> Fmt.str "%9s %7s %7s" h "greedy" "tsp"));
+    List.iter
+      (fun r ->
+        let o, g, t = (hw r).mispredicts in
+        Fmt.pf ppf "%-9s | %s | %d/%d/%d@." (r.bench ^ "." ^ r.ds)
+          (cells (fun (_, f) -> group (f r)))
+          o g t)
+      rows;
+    Fmt.pf ppf "%-9s | %s |@." "MEAN" (cells (fun (_, f) -> mean f))
+  in
+  table ~static:true (fun r -> r.default_bht);
+  Fmt.pf ppf "@.the same layouts with a tiny 64-entry BHT (aliasing regime):@.";
+  table ~static:false (fun r -> r.tiny_bht)

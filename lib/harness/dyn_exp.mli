@@ -1,20 +1,26 @@
 (** Extension experiment: branch alignment under dynamic branch
-    prediction hardware (the paper's future-work footnote 6). *)
+    prediction hardware (the paper's future-work footnote 6), on the
+    runner's own layouts. *)
 
-module W = Ba_workloads.Workload
+(** original, greedy, tsp *)
+type counts = int * int * int
+
+(** Trace-driven BHT+BTB simulation of the three layouts. *)
+type hw = { penalties : counts; mispredicts : counts }
 
 type row = {
   bench : string;
   ds : string;
-  static_ : int * int * int;  (** original, greedy, tsp penalties *)
-  dynamic : int * int * int;
-  dynamic_mispredicts : int * int * int;
+  static_ : counts;  (** the runner row's static-predictor penalties *)
+  default_bht : hw;  (** the default predictor *)
+  tiny_bht : hw;
+      (** a 64-entry BHT, where layout-dependent aliasing becomes
+          visible *)
 }
 
-val run_one : ?config:Ba_machine.Predictor.config -> W.t -> test:W.dataset -> row
+(** Simulate the row's original, greedy-self and TSP-self layouts on
+    its testing input under both predictors. *)
+val run_one : Runner.row -> row
 
-(** The default predictor's rows, then the same under a tiny 64-entry
-    BHT where layout-dependent aliasing becomes visible. *)
-val run : unit -> row list * row list
-
-val print : Format.formatter -> row list * row list -> unit
+(** The static and default-BHT columns, then the tiny-BHT ones. *)
+val print : Format.formatter -> row list -> unit

@@ -1,16 +1,15 @@
 (** Extension experiment: code replication (tail duplication) + branch
     alignment.
 
-    For each benchmark/data set: profile the original program, tail-
-    duplicate its hot join blocks ({!Ba_minic.Transform}), re-profile the
-    transformed program, TSP-align both, and compare modelled penalties,
-    simulated cycles and code size.  The expected shape: replication
-    removes taken-branch penalties alignment alone cannot (joins with
-    several hot predecessors), at a measurable code-size cost that the
-    I-cache term pushes back on. *)
-
-module W = Ba_workloads.Workload
-module Driver = Ba_align.Driver
+    For each runner row: tail-duplicate the hot join blocks of its
+    program under its testing profile ({!Ba_minic.Transform}), then
+    profile, TSP-align and measure the transformed program the way the
+    runner measures its own [tsp_self] layout ({!Runner.tsp_self}), and
+    compare modelled penalties, simulated cycles and code size against
+    that layout.  The expected shape: replication removes taken-branch
+    penalties alignment alone cannot (joins with several hot
+    predecessors), at a measurable code-size cost that the I-cache term
+    pushes back on. *)
 
 type row = {
   bench : string;
@@ -24,50 +23,30 @@ type row = {
   cycles_after : int;
 }
 
-let model = Ba_machine.Model.alpha21164
+let code_size (m : Runner.measurement) =
+  m.Runner.program.Ba_align.Driver.addr.Ba_machine.Addr.total_instrs
 
-let measure compiled ~input =
-  let prof = Ba_minic.Compile.profile compiled ~input in
-  let a =
-    Driver.align (Driver.Tsp Ba_align.Tsp_align.default) model
-      compiled.Ba_minic.Compile.cfgs ~train:prof
+let run_one (r : Runner.row) : row =
+  let before = r.Runner.tsp_self in
+  let prog, st =
+    Ba_minic.Transform.program r.Runner.compiled.Ba_minic.Compile.prog
+      ~profile:r.Runner.test_profile
   in
-  let penalty = Driver.analytic_penalty model a ~test:prof in
-  let sim =
-    Driver.simulate model a ~run:(fun sink ->
-        ignore (Ba_minic.Compile.run compiled ~input ~sink))
+  let after =
+    Runner.tsp_self r.Runner.config (Ba_minic.Compile.of_ir prog)
+      ~input:r.Runner.test_input
   in
-  (prof, penalty, sim.Ba_machine.Cycles.cycles, a.Driver.addr.Ba_machine.Addr.total_instrs)
-
-let run_one ?(config = Ba_minic.Transform.default) (w : W.t)
-    ~(test : W.dataset) : row =
-  let compiled = W.compile w in
-  let input = test.W.input in
-  let prof0, penalty_before, cycles_before, code_before =
-    measure compiled ~input
-  in
-  let prog', st =
-    Ba_minic.Transform.program ~config compiled.Ba_minic.Compile.prog
-      ~profile:prof0
-  in
-  let compiled' = Ba_minic.Compile.of_ir prog' in
-  let _, penalty_after, cycles_after, code_after = measure compiled' ~input in
   {
-    bench = w.W.name;
-    ds = test.W.ds_name;
+    bench = r.Runner.bench;
+    ds = r.Runner.ds;
     clones = st.Ba_minic.Transform.clones;
-    code_before;
-    code_after;
-    penalty_before;
-    penalty_after;
-    cycles_before;
-    cycles_after;
+    code_before = code_size before;
+    code_after = code_size after;
+    penalty_before = before.Runner.penalty;
+    penalty_after = after.Runner.penalty;
+    cycles_before = before.Runner.cycles;
+    cycles_after = after.Runner.cycles;
   }
-
-let run_all ?config () : row list =
-  List.concat_map
-    (fun w -> List.map (fun ds -> run_one ?config w ~test:ds) (W.dataset_list w))
-    W.all
 
 let print ppf (rows : row list) =
   Tables.section ppf

@@ -26,6 +26,13 @@ module Cycles = Ba_machine.Cycles
 module Executor = Ba_engine.Executor
 module Task = Ba_engine.Task
 
+type config = {
+  model : Ba_machine.Model.t;
+  tsp : Tsp_align.config;
+  cycles : Cycles.config;
+  hk : Ba_tsp.Held_karp.config;
+}
+
 type measurement = {
   penalty : int;  (** analytic control-penalty cycles on the testing set *)
   cycles : int;  (** simulated execution cycles on the testing set *)
@@ -35,6 +42,7 @@ type measurement = {
           (higher is better); scored with the model's Ext-TSP
           parameters, or {!Ba_machine.Model.default_ext_tsp} for
           control-penalty models *)
+  program : Driver.aligned;  (** the measured layout, realized *)
 }
 
 type row = {
@@ -70,13 +78,10 @@ type row = {
   stages : Timing.stages;
   solve_dist : Timing.dist;
       (** distribution of self-trained per-procedure TSP solve times *)
-}
-
-type config = {
-  model : Ba_machine.Model.t;
-  tsp : Tsp_align.config;
-  cycles : Cycles.config;
-  hk : Ba_tsp.Held_karp.config;
+  config : config;  (** what the row was measured under *)
+  compiled : Ba_minic.Compile.compiled;
+  test_input : int array;
+  test_profile : Profile.t;  (** profile of one run on [test_input] *)
 }
 
 let default =
@@ -90,7 +95,8 @@ let default =
 (** Align every procedure with the TSP method, each procedure's matrix
     construction and solve in their own ["matrix"] and ["solve"] spans.
     Returns the orders, the solver's DTSP walk cost of each
-    ({!Tsp_align.result.cost}) and the exact/timeout counts. *)
+    ({!Tsp_align.result.cost}) and the exact/timeout counts.  Each
+    solve's RNG is seeded from its instance. *)
 let tsp_align_program (cfg : config) spans cfgs ~train =
   let sp name f = Ba_obs.Span.with_span spans name f in
   let n_exact = ref 0 and n_timeouts = ref 0 in
@@ -114,27 +120,6 @@ let tsp_align_program (cfg : config) spans cfgs ~train =
     !n_exact,
     !n_timeouts )
 
-(** Realize a program from pre-computed orders. *)
-let realize_program (cfg : config) cfgs orders ~train =
-  (* Driver.align re-runs the aligner; realize directly instead *)
-  let realized = Array.make (Array.length cfgs) None in
-  let predicted =
-    Array.mapi
-      (fun fid g ->
-        let r, pred =
-          Evaluate.realize cfg.model g ~order:orders.(fid)
-            ~train:(Profile.proc train fid)
-        in
-        realized.(fid) <- Some r;
-        pred)
-      cfgs
-  in
-  let realized = Array.map Option.get realized in
-  let addr =
-    Ba_machine.Addr.build (Array.map2 (fun g r -> (g, r)) cfgs realized)
-  in
-  { Driver.cfgs; orders; realized; predicted; addr; method_ = Driver.Original }
-
 (** [measure cfg aligned ~test_profile ~run] evaluates one aligned
     program against the testing workload. *)
 let measure (cfg : config) (aligned : Driver.aligned) ~test_profile ~run :
@@ -156,7 +141,25 @@ let measure (cfg : config) (aligned : Driver.aligned) ~test_profile ~run :
       Driver.ext_tsp_score
         ~params:(Ba_machine.Model.ext_tsp_params cfg.model)
         aligned ~test:test_profile;
+    program = aligned;
   }
+
+let run_on compiled input sink =
+  ignore (Ba_minic.Compile.run compiled ~input ~sink)
+
+(** [tsp_self config compiled ~input] is a row's [tsp_self] column for
+    any compiled program: profile it on [input], align every procedure
+    through {!tsp_align_program} trained on that profile, and measure it
+    on the same input. *)
+let tsp_self config (compiled : Ba_minic.Compile.compiled) ~input =
+  let cfgs = compiled.Ba_minic.Compile.cfgs in
+  let train = Ba_minic.Compile.profile compiled ~input in
+  let orders, _, _, _ =
+    tsp_align_program config (Ba_obs.Span.create ~task:0) cfgs ~train
+  in
+  measure config
+    (Driver.realize (Driver.Tsp config.tsp) config.model cfgs orders ~train)
+    ~test_profile:train ~run:(run_on compiled input)
 
 (** [run_benchmark ?config ?spans w ~test] runs the full experiment for
     one benchmark on testing data set [test] (training on [test] for
@@ -171,10 +174,7 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.create ~task:0)
   let compiled = sp "compile" (fun () -> Workload.compile w) in
   let cfgs = compiled.Ba_minic.Compile.cfgs in
   let train_ds = Workload.sibling w test in
-  let run_input input sink =
-    ignore (Ba_minic.Compile.run compiled ~input ~sink)
-  in
-  let run_test = run_input test.Workload.input in
+  let run_test = run_on compiled test.Workload.input in
   let test_profile =
     sp "profile" (fun () ->
         Ba_minic.Compile.profile compiled ~input:test.Workload.input)
@@ -183,68 +183,54 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.create ~task:0)
     sp "profile-cross" (fun () ->
         Ba_minic.Compile.profile compiled ~input:train_ds.Workload.input)
   in
-  (* ---- layouts ---- *)
+  (* ---- layouts, each realized against its training profile ---- *)
+  let realize ?span m ~train orders =
+    let go () = Driver.realize m config.model cfgs orders ~train in
+    match span with Some name -> sp name go | None -> go ()
+  in
+  let each align train =
+    Array.mapi (fun fid g -> align g ~profile:(Profile.proc train fid)) cfgs
+  in
+  let tsp = Driver.Tsp config.tsp in
   let original =
-    realize_program config cfgs
+    realize Driver.Original ~train:test_profile
       (Array.map Ba_cfg.Layout.identity cfgs)
-      ~train:test_profile
-  in
-  let greedy_orders_of train =
-    Array.mapi
-      (fun fid g -> Greedy.align g ~profile:(Profile.proc train fid))
-      cfgs
-  in
-  let greedy_self_orders =
-    sp "greedy" (fun () -> greedy_orders_of test_profile)
   in
   let greedy_self =
-    sp "realize-greedy" (fun () ->
-        realize_program config cfgs greedy_self_orders ~train:test_profile)
+    realize ~span:"realize-greedy" Driver.Greedy ~train:test_profile
+      (sp "greedy" (fun () -> each Greedy.align test_profile))
   in
   let tsp_self_orders, tsp_self_costs, n_exact, n_timeouts =
     sp "tsp-self" (fun () ->
         tsp_align_program config spans cfgs ~train:test_profile)
   in
   let tsp_self =
-    sp "realize-tsp" (fun () ->
-        realize_program config cfgs tsp_self_orders ~train:test_profile)
+    realize ~span:"realize-tsp" tsp ~train:test_profile tsp_self_orders
   in
   (* cost-model aligners measured alongside the paper's pair: Calder
      savings-greedy and the static BTFNT chainer, self-trained only.
      Both are deterministic, so they need no RNG perturbation; neither
      is part of the certificate count (the row's [certs] field keeps
      its original five-program meaning). *)
-  let calder_self_orders =
-    Array.mapi
-      (fun fid g ->
-        Calder.align config.model g ~profile:(Profile.proc test_profile fid))
-      cfgs
-  in
   let calder_self =
-    realize_program config cfgs calder_self_orders ~train:test_profile
-  in
-  let btfnt_self_orders =
-    Array.mapi
-      (fun fid g ->
-        Btfnt.align config.model g ~profile:(Profile.proc test_profile fid))
-      cfgs
+    realize Driver.Calder ~train:test_profile
+      (each (Calder.align config.model) test_profile)
   in
   let btfnt_self =
-    realize_program config cfgs btfnt_self_orders ~train:test_profile
+    realize Driver.Btfnt ~train:test_profile
+      (each (Btfnt.align config.model) test_profile)
   in
-  let greedy_cross_orders = greedy_orders_of cross_profile in
+  let tsp_trained_on name train =
+    let orders, _, _, _ =
+      sp name (fun () -> tsp_align_program config spans cfgs ~train)
+    in
+    realize ~span:("realize-" ^ name) tsp ~train orders
+  in
   let greedy_cross =
-    sp "greedy-cross" (fun () ->
-        realize_program config cfgs greedy_cross_orders ~train:cross_profile)
+    realize ~span:"greedy-cross" Driver.Greedy ~train:cross_profile
+      (each Greedy.align cross_profile)
   in
-  let tsp_cross_orders, _, _, _ =
-    sp "tsp-cross" (fun () ->
-        tsp_align_program config spans cfgs ~train:cross_profile)
-  in
-  let tsp_cross =
-    sp "realize-tsp-cross" (fun () ->
-        realize_program config cfgs tsp_cross_orders ~train:cross_profile)
-  in
+  let tsp_cross = tsp_trained_on "tsp-cross" cross_profile in
   (* static-estimate regime: train on frequencies computed from CFG
      structure alone ({!Ba_analysis.Estimate}), never on a run.  The
      gap these rows recover between the original layout and the
@@ -252,19 +238,11 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.create ~task:0)
   let static_profile =
     sp "profile-static" (fun () -> Ba_analysis.Estimate.program cfgs)
   in
-  let greedy_static_orders = greedy_orders_of static_profile in
   let greedy_static =
-    sp "greedy-static" (fun () ->
-        realize_program config cfgs greedy_static_orders ~train:static_profile)
+    realize ~span:"greedy-static" Driver.Greedy ~train:static_profile
+      (each Greedy.align static_profile)
   in
-  let tsp_static_orders, _, _, _ =
-    sp "tsp-static" (fun () ->
-        tsp_align_program config spans cfgs ~train:static_profile)
-  in
-  let tsp_static =
-    sp "realize-tsp-static" (fun () ->
-        realize_program config cfgs tsp_static_orders ~train:static_profile)
-  in
+  let tsp_static = tsp_trained_on "tsp-static" static_profile in
   (* ---- measurements (always on the testing input) ---- *)
   let m a = measure config a ~test_profile ~run:run_test in
   let original_m, greedy_self_m, tsp_self_m, greedy_cross_m, tsp_cross_m =
@@ -303,7 +281,7 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.create ~task:0)
   sp "certify" (fun () ->
       let certify ?(claimed = fun _ -> None)
           ?(hk = fun _ -> Ba_check.Certify.Skip) ?(sym_check = false) ~train
-          orders =
+          (p : Driver.aligned) =
         Array.iteri
           (fun fid g ->
             incr certs;
@@ -311,22 +289,22 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.create ~task:0)
               Ba_check.Certify.proc_cert ?claimed:(claimed fid) ~hk:(hk fid)
                 ~sym_check ~proc:fid config.model g
                 ~profile:(Profile.proc train fid)
-                ~order:orders.(fid)
+                ~order:p.Driver.orders.(fid)
             with
             | Ok _ -> ()
             | Error _ -> incr cert_failures)
           cfgs
       in
-      certify ~train:test_profile (Array.map Ba_cfg.Layout.identity cfgs);
-      certify ~train:test_profile greedy_self_orders;
+      certify ~train:test_profile original;
+      certify ~train:test_profile greedy_self;
       certify ~train:test_profile
         ~claimed:(fun fid -> Some tsp_self_costs.(fid))
         ~hk:(fun fid -> Ba_check.Certify.Given proc_bounds.(fid))
-        ~sym_check:true tsp_self_orders;
-      certify ~train:cross_profile greedy_cross_orders;
-      certify ~train:cross_profile tsp_cross_orders;
-      certify ~train:static_profile greedy_static_orders;
-      certify ~train:static_profile tsp_static_orders);
+        ~sym_check:true tsp_self;
+      certify ~train:cross_profile greedy_cross;
+      certify ~train:cross_profile tsp_cross;
+      certify ~train:static_profile greedy_static;
+      certify ~train:static_profile tsp_static);
   (* gap of the self-trained TSP layout to the Held–Karp lower bound *)
   if bound > 0 then
     Ba_obs.Metrics.observe_hk_gap
@@ -368,6 +346,10 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.create ~task:0)
     cert_failures = !cert_failures;
     stages;
     solve_dist;
+    config;
+    compiled;
+    test_input = test.Workload.input;
+    test_profile;
   }
 
 (** [run_all_outcomes ?config ?executor ?workloads ()] runs the

@@ -3,9 +3,21 @@
     layouts, analytic penalties, simulated cycles, lower bounds, stage
     timings).  Rows are independent tasks: {!run_all} fans them out
     over a pluggable executor and merges them back in suite order, so
-    the measured numbers are identical at any job count. *)
+    the measured numbers are identical at any job count.  A row keeps
+    each measured layout, the compiled program, the testing input and
+    its profile, so the extension studies ({!Dyn_exp}, {!Btfnt_exp},
+    {!Replication}) re-price the very layouts Figure 2 prices. *)
 
 module Workload = Ba_workloads.Workload
+
+type config = {
+  model : Ba_machine.Model.t;  (** cost model every stage runs under *)
+  tsp : Ba_align.Tsp_align.config;
+  cycles : Ba_machine.Cycles.config;
+  hk : Ba_tsp.Held_karp.config;
+}
+
+val default : config
 
 type measurement = {
   penalty : int;  (** analytic control-penalty cycles on the testing set *)
@@ -14,6 +26,7 @@ type measurement = {
   ext_tsp : int;
       (** Ext-TSP locality score of the same layout on the testing set
           (higher is better) *)
+  program : Ba_align.Driver.aligned;  (** the measured layout, realized *)
 }
 
 type row = {
@@ -49,16 +62,11 @@ type row = {
   stages : Timing.stages;
   solve_dist : Timing.dist;
       (** distribution of self-trained per-procedure TSP solve times *)
+  config : config;  (** what the row was measured under *)
+  compiled : Ba_minic.Compile.compiled;
+  test_input : int array;
+  test_profile : Ba_profile.Profile.t;  (** profile of one run on [test_input] *)
 }
-
-type config = {
-  model : Ba_machine.Model.t;  (** cost model every stage runs under *)
-  tsp : Ba_align.Tsp_align.config;
-  cycles : Ba_machine.Cycles.config;
-  hk : Ba_tsp.Held_karp.config;
-}
-
-val default : config
 
 (** Run the full experiment for one benchmark on one testing data set.
     Pure up to the wall clock: safe to run concurrently with other
@@ -72,6 +80,13 @@ val run_benchmark :
   Workload.t ->
   test:Workload.dataset ->
   row
+
+(** A row's [tsp_self] column for any compiled program: profile it on
+    [input], align every procedure with the row's TSP path (each
+    solve's RNG seeded from its instance) trained on that profile, and
+    measure it on the same input. *)
+val tsp_self :
+  config -> Ba_minic.Compile.compiled -> input:int array -> measurement
 
 (** Run the experiment over a whole suite (default: the SPEC92
     stand-ins; pass [Ba_workloads.Workload95.all] for the extension

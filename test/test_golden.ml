@@ -1,13 +1,16 @@
-(** Golden-file tests for the CSV exports.
+(** Golden-file tests for the committed results.
 
-    Two layers: (a) the committed deterministic [results/*.csv]
+    Three layers: (a) the committed deterministic [results/*.csv]
     artifacts (spec92, spec95, appendix) must carry exactly the headers
     and row shape the current {!Ba_harness.Csv} code emits — catching
     silent schema drift between code and artifacts; the timing CSVs
     hold run-dependent seconds and are not committed; (b) a tiny
     deterministic workload renders through [rows_csv]/[timing_csv] and
     must match committed golden files byte-for-byte (run-dependent
-    timing columns masked), which pins the timing header. *)
+    timing columns masked), which pins the timing header; (c) one
+    SPEC92 pair, dod.sm, is run through the runner and the studies that
+    re-price its layouts, and its lines must appear byte for byte in
+    [results/spec92.csv] and [results/report.txt]. *)
 
 module Csv = Ba_harness.Csv
 module Runner = Ba_harness.Runner
@@ -158,6 +161,101 @@ let test_golden_timing_masked () =
       check_golden "timing.golden"
         (header :: List.map (mask_timing_row ~header) rows)
 
+(* ---------------- (c) dod.sm against the committed results ---------------- *)
+
+module Driver = Ba_align.Driver
+
+let dod_sm =
+  lazy (Runner.run_benchmark Workload.dod ~test:(snd Workload.dod.Workload.datasets))
+
+let results name =
+  read_lines (Filename.concat (repo_root ()) (Filename.concat "results" name))
+
+let is_rule l = l <> "" && String.for_all (( = ) '-') l
+
+(** The body of the report section titled [title]: the lines between
+    its banner and the next one. *)
+let report_section lines title =
+  let rec body = function
+    | [] -> []
+    | l :: _ :: rest when l = title -> rest
+    | _ :: rest -> body rest
+  in
+  let rec upto = function
+    | [] -> []
+    | l :: rest -> if is_rule l then [] else l :: upto rest
+  in
+  upto (body lines)
+
+(** Every ["dod.sm"] line a study prints for the row must sit verbatim
+    in that study's section of the committed report. *)
+let check_study name print =
+  let rendered = String.split_on_char '\n' (Fmt.str "%a" print ()) in
+  let title = List.find (fun l -> l <> "" && not (is_rule l)) rendered in
+  let committed = report_section (results "report.txt") title in
+  let mine =
+    List.filter (fun l -> String.starts_with ~prefix:"dod.sm " l) rendered
+  in
+  Alcotest.(check bool) (name ^ " prints dod.sm") true (mine <> []);
+  List.iter
+    (fun l ->
+      Alcotest.(check bool)
+        (Printf.sprintf "report.txt %s has %S" name l)
+        true (List.mem l committed))
+    mine
+
+let test_committed_dod_sm () =
+  let row = Lazy.force dod_sm in
+  let line = List.nth (Csv.rows_csv [ row ]) 1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "spec92.csv has %S" line)
+    true
+    (List.mem line (results "spec92.csv"));
+  let module H = Ba_harness in
+  check_study "dynamic" (fun ppf () ->
+      H.Dyn_exp.print ppf [ H.Dyn_exp.run_one row ]);
+  check_study "btfnt" (fun ppf () ->
+      H.Btfnt_exp.print ppf [ H.Btfnt_exp.run_one row ]);
+  check_study "replication" (fun ppf () ->
+      H.Replication.print ppf [ H.Replication.run_one row ])
+
+(* The studies price the row's own TSP layout: re-realize its orders
+   and price them independently. *)
+let test_studies_price_row () =
+  let row = Lazy.force dod_sm in
+  let model = row.Runner.config.Runner.model in
+  let tsp = row.Runner.tsp_self in
+  let program = tsp.Runner.program in
+  let a =
+    Driver.realize Driver.Original model program.Driver.cfgs
+      program.Driver.orders ~train:row.Runner.test_profile
+  in
+  let rep = Ba_harness.Replication.run_one row in
+  Alcotest.(check int) "replication penalty_before = tsp_self"
+    tsp.Runner.penalty rep.Ba_harness.Replication.penalty_before;
+  Alcotest.(check int) "replication cycles_before = tsp_self"
+    tsp.Runner.cycles rep.Ba_harness.Replication.cycles_before;
+  Alcotest.(check int) "btfnt tsp prices the tsp_self orders"
+    (Ba_align.Btfnt.program_penalty model.Ba_machine.Model.penalties
+       a.Driver.cfgs ~realized:a.Driver.realized ~test:row.Runner.test_profile)
+    (Ba_harness.Btfnt_exp.run_one row).Ba_harness.Btfnt_exp.tsp;
+  let counters, sink =
+    Ba_machine.Dynamic.make_sink model.Ba_machine.Model.penalties
+      ~realized:a.Driver.realized ~addr:a.Driver.addr
+  in
+  ignore
+    (Ba_minic.Compile.run row.Runner.compiled ~input:row.Runner.test_input
+       ~sink);
+  let dyn = Ba_harness.Dyn_exp.run_one row in
+  let _, _, tsp_dyn =
+    dyn.Ba_harness.Dyn_exp.default_bht.Ba_harness.Dyn_exp.penalties
+  in
+  Alcotest.(check int) "dynamic tsp prices the tsp_self orders"
+    counters.Ba_machine.Dynamic.penalty_cycles tsp_dyn;
+  let _, _, tsp_static = dyn.Ba_harness.Dyn_exp.static_ in
+  Alcotest.(check int) "dynamic static tsp = tsp_self" tsp.Runner.penalty
+    tsp_static
+
 let () =
   Alcotest.run "golden"
     [
@@ -169,5 +267,12 @@ let () =
             test_golden_rows;
           Alcotest.test_case "tiny workload timing shape golden" `Quick
             test_golden_timing_masked;
+        ] );
+      ( "dod.sm",
+        [
+          Alcotest.test_case "committed spec92 and report lines" `Quick
+            test_committed_dod_sm;
+          Alcotest.test_case "studies price the runner's layouts" `Quick
+            test_studies_price_row;
         ] );
     ]

@@ -186,10 +186,11 @@ let test_appendix_study () =
 (* ---------------- extension experiments ---------------- *)
 
 let test_dyn_exp_row () =
-  let w = W.su2 in
-  let r = Ba_harness.Dyn_exp.run_one w ~test:(snd w.W.datasets) in
+  let r = Ba_harness.Dyn_exp.run_one (Lazy.force row) in
   let o_s, g_s, t_s = r.Ba_harness.Dyn_exp.static_ in
-  let o_d, g_d, t_d = r.Ba_harness.Dyn_exp.dynamic in
+  let o_d, g_d, t_d =
+    r.Ba_harness.Dyn_exp.default_bht.Ba_harness.Dyn_exp.penalties
+  in
   Alcotest.(check bool) "static ordering" true (t_s <= g_s && g_s <= o_s);
   Alcotest.(check bool) "dynamic penalties positive" true
     (o_d > 0 && g_d > 0 && t_d > 0);
@@ -199,8 +200,7 @@ let test_dyn_exp_row () =
     (g_d < o_d && t_d < o_d)
 
 let test_btfnt_exp_row () =
-  let w = W.su2 in
-  let r = Ba_harness.Btfnt_exp.run_one w ~test:(snd w.W.datasets) in
+  let r = Ba_harness.Btfnt_exp.run_one (Lazy.force row) in
   let open Ba_harness.Btfnt_exp in
   Alcotest.(check bool) "original pays penalties" true (r.original > 0);
   (* straightening hot fall-throughs helps under BTFNT as well, even
