@@ -709,17 +709,16 @@ let bench_cmd =
                    (List.map (fun w -> w.Ba_workloads.Workload.name)
                       Ba_workloads.Workload_apps.everything))))
     | Some w ->
-        let base = Ba_harness.Runner.default in
+        let tsp = Ba_harness.Runner.default.Ba_harness.Runner.tsp in
         let config =
           {
-            base with
             Ba_harness.Runner.model;
             tsp =
               {
-                base.Ba_harness.Runner.tsp with
+                tsp with
                 Ba_align.Tsp_align.solver =
                   {
-                    base.Ba_harness.Runner.tsp.Ba_align.Tsp_align.solver with
+                    tsp.Ba_align.Tsp_align.solver with
                     Ba_tsp.Iterated.deadline_ms;
                   };
               };
@@ -733,7 +732,7 @@ let bench_cmd =
           List.map (fun o -> o.Ba_engine.Task.value) outcomes
         in
         Option.iter
-          (fun path -> Ba_harness.Bench_json.write ~model path ~jobs outcomes)
+          (fun path -> Ba_harness.Bench_json.write path ~jobs outcomes)
           json;
         let timeouts =
           List.fold_left
@@ -915,8 +914,10 @@ let report_sections ~jobs : (string * (Format.formatter -> unit)) list =
     fun ppf -> print ppf (Lazy.force r)
   in
   (* the dynamic, btfnt and replication studies re-price the spec92
-     rows' own layouts *)
-  let of_rows run_one () = List.map run_one (Lazy.force rows) in
+     rows' own layouts, one pure job per row *)
+  let of_rows run_one () =
+    Executor.map_list executor run_one (Lazy.force rows)
+  in
   let printed =
     H.Tables.
       [

@@ -11,18 +11,18 @@ open Ba_cfg
 open Ba_tsp
 module Profile = Ba_profile.Profile
 
-(** [held_karp ?config m cfg ~profile ~upper] is a valid lower bound on
+(** [held_karp m cfg ~profile ~upper] is a valid lower bound on
     the control penalty of {e any} layout of [cfg] under [profile].
     [upper] is the penalty of any known layout (step scaling only).
     Clamped at 0 since penalties are non-negative. *)
-let held_karp ?config (m : Ba_machine.Model.t) (cfg : Cfg.t)
+let held_karp (m : Ba_machine.Model.t) (cfg : Cfg.t)
     ~(profile : Profile.proc) ~(upper : int) : int =
   let inst = Reduction.build m cfg ~profile in
   if inst.Reduction.dtsp.Dtsp.n <= Exact.max_n then
     (* small instances: the exact optimum is the perfect bound *)
     snd (Exact.solve inst.Reduction.dtsp)
   else
-    max 0 (Held_karp.directed_bound ?config inst.Reduction.dtsp ~upper_bound:upper)
+    max 0 (Held_karp.directed_bound inst.Reduction.dtsp ~upper_bound:upper)
 
 (** [ap p cfg ~profile] is the assignment-problem lower bound of the
     procedure's DTSP instance (appendix experiment). *)

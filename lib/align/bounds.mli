@@ -8,7 +8,6 @@ module Profile = Ba_profile.Profile
     optimum on small instances, the Held–Karp bound otherwise (clamped
     at 0).  [upper] is the penalty of any known layout. *)
 val held_karp :
-  ?config:Ba_tsp.Held_karp.config ->
   Ba_machine.Model.t ->
   Cfg.t ->
   profile:Profile.proc ->

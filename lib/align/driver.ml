@@ -158,10 +158,10 @@ let ext_tsp_score ?(params = Model.default_ext_tsp) (a : aligned)
     a.cfgs;
   !total
 
-(** [simulate ?cycles_config model a ~run] replays an execution (the
+(** [simulate model a ~run] replays an execution (the
     [run] callback feeds trace events into the provided sink) through
     the full machine model and returns the cycle breakdown. *)
-let simulate ?cycles_config (model : Model.t) (a : aligned)
+let simulate (model : Model.t) (a : aligned)
     ~(run : Trace.sink -> unit) : Cycles.result =
   let ctxs =
     Array.mapi
@@ -169,8 +169,7 @@ let simulate ?cycles_config (model : Model.t) (a : aligned)
       a.realized
   in
   let sink, result =
-    Cycles.make_sink ?config:cycles_config model ~cfgs:a.cfgs ~ctxs
-      ~addr:a.addr
+    Cycles.make_sink model ~cfgs:a.cfgs ~ctxs ~addr:a.addr
   in
   run sink;
   result ()

@@ -84,7 +84,6 @@ val ext_tsp_score :
 (** Replay an execution through the full machine model ([run] feeds
     trace events into the provided sink). *)
 val simulate :
-  ?cycles_config:Cycles.config ->
   Model.t ->
   aligned ->
   run:(Trace.sink -> unit) ->

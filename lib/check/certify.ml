@@ -366,10 +366,9 @@ let proc_cert ?claimed ?(hk = Skip) ?(sym_check = true) ~proc
                           }))))
 
 (** Certify a whole aligned program, procedure by procedure in index
-    order; the first failing procedure is reported.  [claimed i] and
-    [hk i] supply the per-procedure claimed cost and bound source. *)
-let program ?(claimed = fun _ -> None) ?(hk = fun _ -> Skip)
-    ?sym_check (m : Model.t) (cfgs : Cfg.t array)
+    order; the first failing procedure is reported.  [hk i] supplies
+    procedure [i]'s bound source. *)
+let program ?(hk = fun _ -> Skip) (m : Model.t) (cfgs : Cfg.t array)
     ~(train : Profile.t) ~(orders : Layout.order array) : (t, failure) result
     =
   let n = Array.length cfgs in
@@ -390,10 +389,8 @@ let program ?(claimed = fun _ -> None) ?(hk = fun _ -> Skip)
       if i = n then Ok { procs = List.rev acc; total_cost = total }
       else
         match
-          proc_cert ?claimed:(claimed i) ~hk:(hk i) ?sym_check ~proc:i m
-            cfgs.(i)
-            ~profile:train.Profile.procs.(i)
-            ~order:orders.(i)
+          proc_cert ~hk:(hk i) ~proc:i m cfgs.(i)
+            ~profile:train.Profile.procs.(i) ~order:orders.(i)
         with
         | Error error ->
             Error { fproc = i; fname = cfgs.(i).Cfg.name; error }

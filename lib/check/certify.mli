@@ -95,12 +95,11 @@ val proc_cert :
   order:Layout.order ->
   (proc_cert, error) result
 
-(** Certify a whole aligned program in procedure order; first failure
-    wins.  [claimed i] / [hk i] give per-procedure inputs. *)
+(** Certify a whole aligned program in procedure order (the DTSP → STSP
+    round-trip on); first failure wins.  [hk i] gives procedure [i]'s
+    bound source. *)
 val program :
-  ?claimed:(int -> int option) ->
   ?hk:(int -> hk_mode) ->
-  ?sym_check:bool ->
   Ba_machine.Model.t ->
   Cfg.t array ->
   train:Ba_profile.Profile.t ->

@@ -22,17 +22,17 @@ type report = {
   infos : int;
 }
 
-(** Run [rules] (default: the whole catalogue) over the program and
-    tally findings into the lint.* metrics counters. *)
-let run ?(rules = Rules.all) (ctx : Rules.ctx) : report =
-  let diags = List.concat_map (fun r -> r.Rules.run ctx) rules in
+(** Run the whole catalogue over the program and tally findings into
+    the lint.* metrics counters. *)
+let run (ctx : Rules.ctx) : report =
+  let diags = List.concat_map (fun r -> r.Rules.run ctx) Rules.all in
   let errors, warnings, infos = D.count diags in
   Metrics.incr ~n:errors Metrics.Lint_errors;
   Metrics.incr ~n:warnings Metrics.Lint_warnings;
   Metrics.incr ~n:infos Metrics.Lint_infos;
   { diags; errors; warnings; infos }
 
-let analyze ?rules ?profile cfgs = run ?rules { Rules.cfgs; profile }
+let analyze ?profile cfgs = run { Rules.cfgs; profile }
 
 (* ------------------------------------------------------------------ *)
 (* typed-error bridge                                                  *)

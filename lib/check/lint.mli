@@ -8,14 +8,13 @@ type report = {
   infos : int;
 }
 
-(** Run [rules] (default: {!Rules.all}) and tally findings into the
+(** Run the whole {!Rules.all} catalogue and tally findings into the
     [lint.*] metrics counters. *)
-val run : ?rules:Rules.rule list -> Rules.ctx -> report
+val run : Rules.ctx -> report
 
-(** [analyze ?rules ?profile cfgs] is {!run} on a context. *)
+(** [analyze ?profile cfgs] is {!run} on a context. *)
 val analyze :
-  ?rules:Rules.rule list -> ?profile:Ba_profile.Profile.t ->
-  Ba_cfg.Cfg.t array -> report
+  ?profile:Ba_profile.Profile.t -> Ba_cfg.Cfg.t array -> report
 
 (** Map one finding to the typed error of its violation (rule families
     map to [Invalid_cfg] / [Invalid_profile] / [Profile_mismatch]). *)

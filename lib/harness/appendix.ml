@@ -43,17 +43,16 @@ let percentile sorted p =
   | 0 -> 0.0
   | n -> sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
 
-(** [study ?config ?model corpus] runs the bound study over the given
-    instances. *)
-let study ?(config = Iterated.default)
-    ?(model = Ba_machine.Model.alpha21164)
-    (corpus : Synthetic.instance list) : stats =
+(** [study corpus] runs the bound study over the given instances, on
+    the Alpha 21164 model with the default iterated 3-Opt solver. *)
+let study (corpus : Synthetic.instance list) : stats =
+  let model = Ba_machine.Model.alpha21164 in
   let per =
     List.map
       (fun { Synthetic.name; g; prof } ->
         let inst = Reduction.build model g ~profile:prof in
         let d = inst.Reduction.dtsp in
-        let tour, st = Iterated.solve ~config d in
+        let tour, st = Iterated.solve d in
         ignore tour;
         let opt =
           if d.Dtsp.n <= Exact.max_n then Some (Exact.optimal_cost d) else None
@@ -74,7 +73,7 @@ let study ?(config = Iterated.default)
           hk = min hk tour_cost;
           patching = snd (Patching.solve d);
           runs_with_best = st.Iterated.runs_with_best;
-          runs = config.Iterated.runs;
+          runs = Iterated.default.Iterated.runs;
         })
       corpus
   in

@@ -28,8 +28,4 @@ type stats = {
 }
 
 (** Run the bound study over the given instances. *)
-val study :
-  ?config:Ba_tsp.Iterated.config ->
-  ?model:Ba_machine.Model.t ->
-  Synthetic.instance list ->
-  stats
+val study : Synthetic.instance list -> stats

@@ -18,9 +18,12 @@
     [penalty_cycles] and [hk_gap] are deterministic (self-trained TSP
     layout vs the Held–Karp bound); [objectives] reports both cost
     objectives — control-penalty cycles (lower is better) and the
-    Ext-TSP locality score (higher is better) — for every self-trained
-    aligner and for the two static-estimate-trained layouts
-    ([tsp_static], [greedy_static]: no training run at all);
+    Ext-TSP locality score (higher is better), both priced here on the
+    row's testing profile — for every self-trained aligner and for the
+    two static-estimate-trained layouts ([tsp_static], [greedy_static]:
+    no training run at all).  The tsp, greedy and static programs are
+    the row's own; the calder and btfnt layouts exist only for this
+    document and are aligned here from the row's testing profile;
     [certs]/[cert_failures] count the independent alignment
     certificates of the row ({!Ba_check.Certify}); the [*_ms] fields
     are wall-clock and vary run to run.  Document construction is pure
@@ -28,33 +31,41 @@
 
 module Json = Ba_obs.Json
 module Task = Ba_engine.Task
+module Driver = Ba_align.Driver
 
-(** Gap of the self-trained TSP penalty to the Held–Karp lower bound,
-    as a fraction of the bound (0 when the bound is degenerate). *)
-let hk_gap (r : Runner.row) =
-  if r.Runner.lower_bound <= 0 then 0.
-  else
-    Float.max 0.
-      (float_of_int (r.Runner.tsp_self.Runner.penalty - r.Runner.lower_bound)
-      /. float_of_int r.Runner.lower_bound)
-
-(** Both objectives of one self-trained layout. *)
-let objective_json (m : Runner.measurement) : Json.t =
-  Json.Obj
-    [
-      ("penalty", Json.Int m.Runner.penalty);
-      ("ext_tsp", Json.Int m.Runner.ext_tsp);
-    ]
+let model_of (r : Runner.row) = r.Runner.config.Runner.model
 
 let objectives_json (r : Runner.row) : Json.t =
+  let model = model_of r and test = r.Runner.test_profile in
+  let cfgs = r.Runner.compiled.Ba_minic.Compile.cfgs in
+  (* a deterministic aligner the row does not carry, self-trained *)
+  let self_trained m =
+    Driver.realize m model cfgs ~train:test
+      (Array.mapi
+         (fun fid g ->
+           Driver.align_proc m model g
+             ~profile:(Ba_profile.Profile.proc test fid))
+         cfgs)
+  in
+  let objective (p : Driver.aligned) =
+    Json.Obj
+      [
+        ("penalty", Json.Int (Driver.analytic_penalty model p ~test));
+        ( "ext_tsp",
+          Json.Int
+            (Driver.ext_tsp_score
+               ~params:(Ba_machine.Model.ext_tsp_params model)
+               p ~test) );
+      ]
+  in
   Json.Obj
     [
-      ("tsp", objective_json r.Runner.tsp_self);
-      ("calder", objective_json r.Runner.calder_self);
-      ("greedy", objective_json r.Runner.greedy_self);
-      ("btfnt", objective_json r.Runner.btfnt_self);
-      ("tsp_static", objective_json r.Runner.tsp_static);
-      ("greedy_static", objective_json r.Runner.greedy_static);
+      ("tsp", objective r.Runner.tsp_self.Runner.program);
+      ("calder", objective (self_trained Driver.Calder));
+      ("greedy", objective r.Runner.greedy_self.Runner.program);
+      ("btfnt", objective (self_trained Driver.Btfnt));
+      ("tsp_static", objective r.Runner.tsp_static);
+      ("greedy_static", objective r.Runner.greedy_static);
     ]
 
 let row_json ~jobs (o : Runner.row Task.outcome) : Json.t =
@@ -64,7 +75,7 @@ let row_json ~jobs (o : Runner.row Task.outcome) : Json.t =
       ("bench", Json.String r.Runner.bench);
       ("dataset", Json.String r.Runner.ds);
       ("penalty_cycles", Json.Int r.Runner.tsp_self.Runner.penalty);
-      ("hk_gap", Json.Float (hk_gap r));
+      ("hk_gap", Json.Float (Runner.hk_gap r));
       ("objectives", objectives_json r);
       ("wall_ms", Json.Float (o.Task.elapsed_s *. 1000.));
       ("p50_ms", Json.Float (r.Runner.solve_dist.Timing.p50_s *. 1000.));
@@ -74,11 +85,16 @@ let row_json ~jobs (o : Runner.row Task.outcome) : Json.t =
       ("cert_failures", Json.Int r.Runner.cert_failures);
     ]
 
-(** [make ?model ~commit ~date ~jobs outcomes] builds the document;
-    pure.  [model] names the cost model the rows were measured under
-    (default: the registry default). *)
-let make ?(model = Ba_machine.Model.default) ~commit ~date ~jobs
-    (outcomes : Runner.row Task.outcome list) : Json.t =
+(** [make ~commit ~date ~jobs outcomes] builds the document; pure.  The
+    document's [model] is the cost model the first row was measured
+    under (the registry default when there are no rows). *)
+let make ~commit ~date ~jobs (outcomes : Runner.row Task.outcome list) :
+    Json.t =
+  let model =
+    match outcomes with
+    | o :: _ -> model_of o.Task.value
+    | [] -> Ba_machine.Model.default
+  in
   Json.Obj
     [
       ("commit", Json.String commit);
@@ -111,9 +127,7 @@ let now_utc () =
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
     tm.Unix.tm_sec
 
-(** [write ?model path ~jobs outcomes] stamps and writes the
-    document. *)
-let write ?model path ~jobs outcomes =
+(** [write path ~jobs outcomes] stamps and writes the document. *)
+let write path ~jobs outcomes =
   Json.write_file path
-    (make ?model ~commit:(current_commit ()) ~date:(now_utc ()) ~jobs
-       outcomes)
+    (make ~commit:(current_commit ()) ~date:(now_utc ()) ~jobs outcomes)

@@ -4,19 +4,15 @@
     cert_failures}]}] where [objectives] carries both cost objectives
     (control-penalty cycles and the Ext-TSP locality score) for every
     self-trained aligner (tsp, calder, greedy, btfnt) and the two
-    static-estimate-trained layouts (tsp_static, greedy_static).
+    static-estimate-trained layouts (tsp_static, greedy_static), each
+    priced on the row's testing profile when the document is built.
     {!make} is pure so tests can golden-check the deterministic
     slice. *)
 
-(** Gap of the self-trained TSP penalty to the Held–Karp lower bound,
-    as a fraction of the bound (0 when the bound is degenerate). *)
-val hk_gap : Runner.row -> float
-
-(** [make ?model ~commit ~date ~jobs outcomes] builds the document;
-    pure.  [model] names the cost model the rows were measured
-    under. *)
+(** [make ~commit ~date ~jobs outcomes] builds the document; pure.  Its
+    [model] is the cost model the rows were measured under
+    ([row.config.model]). *)
 val make :
-  ?model:Ba_machine.Model.t ->
   commit:string ->
   date:string ->
   jobs:int ->
@@ -30,10 +26,8 @@ val current_commit : unit -> string
 (** Current time as ISO-8601 UTC, e.g. ["2026-08-06T12:34:56Z"]. *)
 val now_utc : unit -> string
 
-(** [write ?model path ~jobs outcomes] stamps and writes the
-    document. *)
+(** [write path ~jobs outcomes] stamps and writes the document. *)
 val write :
-  ?model:Ba_machine.Model.t ->
   string ->
   jobs:int ->
   Runner.row Ba_engine.Task.outcome list ->

@@ -9,7 +9,11 @@
     - analytic control penalties for all of those plus the Held–Karp
       lower bound;
     - full-machine simulated cycle counts (penalties + I-cache) for the
-      original, greedy and TSP programs under both training regimes;
+      original, greedy and TSP programs under both training regimes —
+      the five layouts the figures and the extension studies read;
+    - greedy and TSP layouts trained on the static estimate, realized
+      and certified but not simulated (their readers price them
+      analytically);
     - per-stage timings (Table 2), totals over the row's spans, and the
       distribution of per-procedure TSP solve times (pool
       load-imbalance view).
@@ -26,22 +30,11 @@ module Cycles = Ba_machine.Cycles
 module Executor = Ba_engine.Executor
 module Task = Ba_engine.Task
 
-type config = {
-  model : Ba_machine.Model.t;
-  tsp : Tsp_align.config;
-  cycles : Cycles.config;
-  hk : Ba_tsp.Held_karp.config;
-}
+type config = { model : Ba_machine.Model.t; tsp : Tsp_align.config }
 
 type measurement = {
   penalty : int;  (** analytic control-penalty cycles on the testing set *)
   cycles : int;  (** simulated execution cycles on the testing set *)
-  icache_misses : int;
-  ext_tsp : int;
-      (** Ext-TSP locality score of the same layout on the testing set
-          (higher is better); scored with the model's Ext-TSP
-          parameters, or {!Ba_machine.Model.default_ext_tsp} for
-          control-penalty models *)
   program : Driver.aligned;  (** the measured layout, realized *)
 }
 
@@ -56,17 +49,15 @@ type row = {
   executed_branches : int;
   original : measurement;
   greedy_self : measurement;
-  calder_self : measurement;  (** cost-model greedy ({!Ba_align.Calder}) *)
-  btfnt_self : measurement;  (** static BTFNT chaining ({!Ba_align.Btfnt}) *)
   tsp_self : measurement;
   greedy_cross : measurement;
   tsp_cross : measurement;
-  greedy_static : measurement;
+  greedy_static : Driver.aligned;
       (** greedy layout trained on the {!Ba_analysis.Estimate} static
-          profile (no training run at all), measured on the testing set *)
-  tsp_static : measurement;
-      (** TSP layout trained on the static estimate, measured on the
-          testing set *)
+          profile (no training run at all); certified, not simulated *)
+  tsp_static : Driver.aligned;
+      (** TSP layout trained on the static estimate; certified, not
+          simulated *)
   lower_bound : int;
   tsp_exact_procs : int;  (** procedures solved to proven optimality *)
   tsp_timeouts : int;
@@ -84,13 +75,17 @@ type row = {
   test_profile : Profile.t;  (** profile of one run on [test_input] *)
 }
 
-let default =
-  {
-    model = Ba_machine.Model.default;
-    tsp = Tsp_align.default;
-    cycles = Cycles.default;
-    hk = Ba_tsp.Held_karp.default;
-  }
+let default = { model = Ba_machine.Model.default; tsp = Tsp_align.default }
+
+(** [hk_gap r] is the gap of the self-trained TSP penalty to the
+    Held–Karp lower bound, as a fraction of the bound, clamped at 0 (0
+    when the bound is degenerate). *)
+let hk_gap r =
+  if r.lower_bound <= 0 then 0.
+  else
+    Float.max 0.
+      (float_of_int (r.tsp_self.penalty - r.lower_bound)
+      /. float_of_int r.lower_bound)
 
 (** Align every procedure with the TSP method, each procedure's matrix
     construction and solve in their own ["matrix"] and ["solve"] spans.
@@ -125,7 +120,7 @@ let tsp_align_program (cfg : config) spans cfgs ~train =
 let measure (cfg : config) (aligned : Driver.aligned) ~test_profile ~run :
     measurement =
   let penalty = Driver.analytic_penalty cfg.model aligned ~test:test_profile in
-  let sim = Driver.simulate ~cycles_config:cfg.cycles cfg.model aligned ~run in
+  let sim = Driver.simulate cfg.model aligned ~run in
   (* internal consistency: the trace-driven penalty count must equal the
      analytic one computed from the very profile that trace produces *)
   if sim.Cycles.penalty_cycles <> penalty then
@@ -133,16 +128,7 @@ let measure (cfg : config) (aligned : Driver.aligned) ~test_profile ~run :
       (Printf.sprintf
          "Runner.measure: simulated penalty %d <> analytic penalty %d"
          sim.Cycles.penalty_cycles penalty);
-  {
-    penalty;
-    cycles = sim.Cycles.cycles;
-    icache_misses = sim.Cycles.icache_misses;
-    ext_tsp =
-      Driver.ext_tsp_score
-        ~params:(Ba_machine.Model.ext_tsp_params cfg.model)
-        aligned ~test:test_profile;
-    program = aligned;
-  }
+  { penalty; cycles = sim.Cycles.cycles; program = aligned }
 
 let run_on compiled input sink =
   ignore (Ba_minic.Compile.run compiled ~input ~sink)
@@ -207,19 +193,6 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.create ~task:0)
   let tsp_self =
     realize ~span:"realize-tsp" tsp ~train:test_profile tsp_self_orders
   in
-  (* cost-model aligners measured alongside the paper's pair: Calder
-     savings-greedy and the static BTFNT chainer, self-trained only.
-     Both are deterministic, so they need no RNG perturbation; neither
-     is part of the certificate count (the row's [certs] field keeps
-     its original five-program meaning). *)
-  let calder_self =
-    realize Driver.Calder ~train:test_profile
-      (each (Calder.align config.model) test_profile)
-  in
-  let btfnt_self =
-    realize Driver.Btfnt ~train:test_profile
-      (each (Btfnt.align config.model) test_profile)
-  in
   let tsp_trained_on name train =
     let orders, _, _, _ =
       sp name (fun () -> tsp_align_program config spans cfgs ~train)
@@ -249,8 +222,6 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.create ~task:0)
     sp "measure" (fun () ->
         (m original, m greedy_self, m tsp_self, m greedy_cross, m tsp_cross))
   in
-  let calder_self_m, btfnt_self_m = (m calder_self, m btfnt_self) in
-  let greedy_static_m, tsp_static_m = (m greedy_static, m tsp_static) in
   (* ---- lower bound (kept per procedure for the certificates) ---- *)
   (* The Held–Karp upper bound and the certificate's claimed cost are
      the solver's own DTSP walk cost of each self-trained layout, in
@@ -263,7 +234,7 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.create ~task:0)
         let bounds =
           Array.mapi
             (fun fid g ->
-              Bounds.held_karp ~config:config.hk config.model g
+              Bounds.held_karp config.model g
                 ~profile:(Profile.proc test_profile fid)
                 ~upper:tsp_self_costs.(fid))
             cfgs
@@ -305,11 +276,6 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.create ~task:0)
       certify ~train:cross_profile tsp_cross;
       certify ~train:static_profile greedy_static;
       certify ~train:static_profile tsp_static);
-  (* gap of the self-trained TSP layout to the Held–Karp lower bound *)
-  if bound > 0 then
-    Ba_obs.Metrics.observe_hk_gap
-      (Float.max 0.
-         (float_of_int (tsp_self_m.penalty - bound) /. float_of_int bound));
   (* per-stage timings: totals over the spans this row recorded *)
   let stages, solve_dist = Timing.of_spans (Ba_obs.Span.spans spans) in
   (* ---- table 1 statistics ---- *)
@@ -321,36 +287,39 @@ let run_benchmark ?(config = default) ?(spans = Ba_obs.Span.create ~task:0)
       touched := !touched + Profile.branch_sites_touched g prof;
       executed := !executed + Profile.executed_branches g prof)
     cfgs;
-  {
-    bench = w.Workload.name;
-    ds = test.Workload.ds_name;
-    train_ds = train_ds.Workload.ds_name;
-    n_procs = Array.length cfgs;
-    n_blocks = Array.fold_left (fun acc g -> acc + Ba_cfg.Cfg.n_blocks g) 0 cfgs;
-    branch_sites = sites;
-    branch_sites_touched = !touched;
-    executed_branches = !executed;
-    original = original_m;
-    greedy_self = greedy_self_m;
-    calder_self = calder_self_m;
-    btfnt_self = btfnt_self_m;
-    tsp_self = tsp_self_m;
-    greedy_cross = greedy_cross_m;
-    tsp_cross = tsp_cross_m;
-    greedy_static = greedy_static_m;
-    tsp_static = tsp_static_m;
-    lower_bound = bound;
-    tsp_exact_procs = n_exact;
-    tsp_timeouts = n_timeouts;
-    certs = !certs;
-    cert_failures = !cert_failures;
-    stages;
-    solve_dist;
-    config;
-    compiled;
-    test_input = test.Workload.input;
-    test_profile;
-  }
+  let row =
+    {
+      bench = w.Workload.name;
+      ds = test.Workload.ds_name;
+      train_ds = train_ds.Workload.ds_name;
+      n_procs = Array.length cfgs;
+      n_blocks = Array.fold_left (fun acc g -> acc + Ba_cfg.Cfg.n_blocks g) 0 cfgs;
+      branch_sites = sites;
+      branch_sites_touched = !touched;
+      executed_branches = !executed;
+      original = original_m;
+      greedy_self = greedy_self_m;
+      tsp_self = tsp_self_m;
+      greedy_cross = greedy_cross_m;
+      tsp_cross = tsp_cross_m;
+      greedy_static;
+      tsp_static;
+      lower_bound = bound;
+      tsp_exact_procs = n_exact;
+      tsp_timeouts = n_timeouts;
+      certs = !certs;
+      cert_failures = !cert_failures;
+      stages;
+      solve_dist;
+      config;
+      compiled;
+      test_input = test.Workload.input;
+      test_profile;
+    }
+  in
+  (* gap of the self-trained TSP layout to the Held–Karp lower bound *)
+  if bound > 0 then Ba_obs.Metrics.observe_hk_gap (hk_gap row);
+  row
 
 (** [run_all_outcomes ?config ?executor ?workloads ()] runs the
     experiment for every benchmark × data set pair of the given suite

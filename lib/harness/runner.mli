@@ -1,7 +1,8 @@
 (** The experiment engine: everything Figures 2–3 and Tables 1, 2 and 4
     need, for one benchmark × data set (self-trained and cross-validated
     layouts, analytic penalties, simulated cycles, lower bounds, stage
-    timings).  Rows are independent tasks: {!run_all} fans them out
+    timings), plus the static-estimate-trained pair as realized
+    programs.  Rows are independent tasks: {!run_all} fans them out
     over a pluggable executor and merges them back in suite order, so
     the measured numbers are identical at any job count.  A row keeps
     each measured layout, the compiled program, the testing input and
@@ -13,8 +14,6 @@ module Workload = Ba_workloads.Workload
 type config = {
   model : Ba_machine.Model.t;  (** cost model every stage runs under *)
   tsp : Ba_align.Tsp_align.config;
-  cycles : Ba_machine.Cycles.config;
-  hk : Ba_tsp.Held_karp.config;
 }
 
 val default : config
@@ -22,10 +21,6 @@ val default : config
 type measurement = {
   penalty : int;  (** analytic control-penalty cycles on the testing set *)
   cycles : int;  (** simulated execution cycles on the testing set *)
-  icache_misses : int;
-  ext_tsp : int;
-      (** Ext-TSP locality score of the same layout on the testing set
-          (higher is better) *)
   program : Ba_align.Driver.aligned;  (** the measured layout, realized *)
 }
 
@@ -40,17 +35,15 @@ type row = {
   executed_branches : int;
   original : measurement;
   greedy_self : measurement;
-  calder_self : measurement;  (** cost-model greedy ({!Ba_align.Calder}) *)
-  btfnt_self : measurement;  (** static BTFNT chaining ({!Ba_align.Btfnt}) *)
   tsp_self : measurement;
   greedy_cross : measurement;
   tsp_cross : measurement;
-  greedy_static : measurement;
+  greedy_static : Ba_align.Driver.aligned;
       (** greedy layout trained on the {!Ba_analysis.Estimate} static
-          profile (no training run at all), measured on the testing set *)
-  tsp_static : measurement;
-      (** TSP layout trained on the static estimate, measured on the
-          testing set *)
+          profile (no training run at all); certified, not simulated *)
+  tsp_static : Ba_align.Driver.aligned;
+      (** TSP layout trained on the static estimate; certified, not
+          simulated *)
   lower_bound : int;
   tsp_exact_procs : int;  (** procedures solved to proven optimality *)
   tsp_timeouts : int;
@@ -67,6 +60,11 @@ type row = {
   test_input : int array;
   test_profile : Ba_profile.Profile.t;  (** profile of one run on [test_input] *)
 }
+
+(** Gap of the self-trained TSP penalty to the Held–Karp lower bound,
+    as a fraction of the bound, clamped at 0 (0 when the bound is
+    degenerate). *)
+val hk_gap : row -> float
 
 (** Run the full experiment for one benchmark on one testing data set.
     Pure up to the wall clock: safe to run concurrently with other

@@ -205,11 +205,15 @@ let static_recovery ppf (rows : Runner.row list) =
   let rt = ref [] and rg = ref [] in
   List.iter
     (fun (r : Runner.row) ->
+      let static p =
+        Ba_align.Driver.analytic_penalty r.Runner.config.Runner.model p
+          ~test:r.Runner.test_profile
+      in
       let orig = r.Runner.original.Runner.penalty in
       let ts = r.Runner.tsp_self.Runner.penalty
-      and tst = r.Runner.tsp_static.Runner.penalty
+      and tst = static r.Runner.tsp_static
       and gs = r.Runner.greedy_self.Runner.penalty
-      and gst = r.Runner.greedy_static.Runner.penalty in
+      and gst = static r.Runner.greedy_static in
       let rec_t = recovered orig ts tst and rec_g = recovered orig gs gst in
       rt := rec_t :: !rt;
       rg := rec_g :: !rg;

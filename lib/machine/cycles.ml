@@ -15,12 +15,10 @@
 
 open Ba_cfg
 
-type config = {
-  icache : Icache.config;
-  call_overhead : int;  (** cycles per procedure call+return pair *)
-}
+let icache = Icache.alpha_l1
 
-let default = { icache = Icache.alpha_l1; call_overhead = 3 }
+(** cycles per procedure call+return pair *)
+let call_overhead = 3
 
 type result = {
   instrs : int;  (** instructions issued, fixup jumps included *)
@@ -32,13 +30,13 @@ type result = {
   counters : Pipeline.counters;  (** full penalty breakdown *)
 }
 
-(** [make_sink ?config m ~cfgs ~ctxs ~addr] builds a trace sink that
+(** [make_sink m ~cfgs ~ctxs ~addr] builds a trace sink that
     simulates the whole machine: penalties, I-cache and issue slots.
     [cfgs.(fid)], [ctxs.(fid)] and [addr.procs.(fid)] describe procedure
     [fid].  Returns the sink and a [result] accessor to call after the
     trace has been fed.  Simulation always runs on the model's physical
     penalty record, whatever its layout objective. *)
-let make_sink ?(config = default) (m : Model.t) ~(cfgs : Cfg.t array)
+let make_sink (m : Model.t) ~(cfgs : Cfg.t array)
     ~(ctxs : Pipeline.proc_ctx array) ~(addr : Addr.t) :
     Trace.sink * (unit -> result) =
   let p = m.Model.penalties in
@@ -46,7 +44,7 @@ let make_sink ?(config = default) (m : Model.t) ~(cfgs : Cfg.t array)
   if Array.length ctxs <> n_procs || Array.length addr.Addr.procs <> n_procs
   then invalid_arg "Cycles.make_sink: inconsistent program description";
   let counters = Pipeline.create_counters ~n_procs in
-  let cache = Icache.create config.icache in
+  let cache = Icache.create icache in
   let instrs = ref 0 in
   let calls = ref 0 in
   let sink =
@@ -83,8 +81,8 @@ let make_sink ?(config = default) (m : Model.t) ~(cfgs : Cfg.t array)
       calls = !calls;
       cycles =
         !instrs + counters.Pipeline.penalty_cycles
-        + (misses * config.icache.Icache.miss_penalty)
-        + (!calls * config.call_overhead);
+        + (misses * icache.Icache.miss_penalty)
+        + (!calls * call_overhead);
       counters;
     }
   in

@@ -4,13 +4,6 @@
 
 open Ba_cfg
 
-type config = {
-  icache : Icache.config;
-  call_overhead : int;  (** cycles per call/return pair *)
-}
-
-val default : config
-
 type result = {
   instrs : int;  (** instructions issued, fixup jumps included *)
   penalty_cycles : int;
@@ -21,12 +14,12 @@ type result = {
   counters : Pipeline.counters;  (** full penalty breakdown *)
 }
 
-(** [make_sink ?config m ~cfgs ~ctxs ~addr] simulates the whole machine
-    on the model's physical penalties; feed the trace into the sink,
-    then call the accessor.
+(** [make_sink m ~cfgs ~ctxs ~addr] simulates the whole machine on the
+    model's physical penalties, the Alpha L1 I-cache and a 3-cycle
+    call overhead; feed the trace into the sink, then call the
+    accessor.
     @raise Invalid_argument on inconsistent program descriptions. *)
 val make_sink :
-  ?config:config ->
   Model.t ->
   cfgs:Cfg.t array ->
   ctxs:Pipeline.proc_ctx array ->

@@ -117,6 +117,50 @@ let test_timing_of_spans () =
   eq "p95" want.T.p95_s d.T.p95_s;
   eq "max" want.T.max_s d.T.max_s
 
+(* The deterministic slice of the su2.sh row's [bench --json] document,
+   pinned: both objectives of every aligner the bench prints, the gap
+   to the bound and the certificate counts.  Wall-clock fields vary run
+   to run and are left out. *)
+let bench_json_golden =
+  String.concat "\n"
+    [
+      "penalty_cycles=50993";
+      "hk_gap=0.000000";
+      "objectives={\"tsp\":{\"penalty\":50993,\"ext_tsp\":176926126},\
+       \"calder\":{\"penalty\":51009,\"ext_tsp\":176787499},\
+       \"greedy\":{\"penalty\":51455,\"ext_tsp\":176815668},\
+       \"btfnt\":{\"penalty\":51455,\"ext_tsp\":176815668},\
+       \"tsp_static\":{\"penalty\":401131,\"ext_tsp\":116364031},\
+       \"greedy_static\":{\"penalty\":509191,\"ext_tsp\":76223934}}";
+      "certs=7";
+      "cert_failures=0";
+    ]
+
+let test_bench_json_row () =
+  let module Json = Ba_obs.Json in
+  let outcome =
+    { Ba_engine.Task.id = 0; label = "su2.sh"; value = Lazy.force row;
+      elapsed_s = 0.; spans = [||] }
+  in
+  let doc =
+    Ba_harness.Bench_json.make ~commit:"c" ~date:"d" ~jobs:1 [ outcome ]
+  in
+  let r =
+    match Option.bind (Json.member "rows" doc) Json.to_list with
+    | Some [ r ] -> r
+    | _ -> Alcotest.fail "expected one row"
+  in
+  let field k =
+    match Json.member k r with
+    | Some v -> k ^ "=" ^ Json.to_string v
+    | None -> Alcotest.failf "row has no %s" k
+  in
+  Alcotest.(check string) "deterministic fields" bench_json_golden
+    (String.concat "\n"
+       (List.map field
+          [ "penalty_cycles"; "hk_gap"; "objectives"; "certs";
+            "cert_failures" ]))
+
 (* ---------------- synthetic corpus ---------------- *)
 
 (* one procedure through the driver's validation front door *)
@@ -283,6 +327,7 @@ let () =
           Alcotest.test_case "cycles sane" `Slow test_row_cycles_sane;
           Alcotest.test_case "certificates" `Slow test_row_certificates;
           Alcotest.test_case "timings recorded" `Slow test_row_timings_recorded;
+          Alcotest.test_case "bench json row" `Slow test_bench_json_row;
           Alcotest.test_case "timing from spans" `Quick test_timing_of_spans;
         ] );
       ( "synthetic",
