@@ -21,3 +21,7 @@ type rule = {
 val all : rule list
 
 val by_id : string -> rule option
+
+(** The largest profile count [prof-overflow-risk] (BA208) admits:
+    [max_int / 65536]. *)
+val overflow_guard : int

@@ -4,15 +4,81 @@
 module Server = Ba_serve.Server
 module Wire = Ba_serve.Wire
 
+type outcome = (Server.stop_reason, exn) result
+
+(* A finished server loop's result, awaited by [stop]. *)
+type promise = { pm : Mutex.t; pc : Condition.t; mutable value : outcome option }
+
+(* Server loops run on worker domains that outlive them: under OCaml
+   5.1 every terminated domain leaves major-heap memory behind (about
+   1 MB per server in the serve-mixed benchmark, whose RSS then grew
+   with every cycle), so a stopped server's worker waits, idle, for the
+   next [start], and a new domain is spawned only when none is idle. *)
+type worker = {
+  wm : Mutex.t;
+  wc : Condition.t;
+  mutable job : ((unit -> outcome) * promise) option;
+}
+
+let idle : worker list ref = ref []
+let idle_lock = Mutex.create ()
+
+let rec work w =
+  Mutex.lock w.wm;
+  while Option.is_none w.job do
+    Condition.wait w.wc w.wm
+  done;
+  let loop, p = Option.get w.job in
+  w.job <- None;
+  Mutex.unlock w.wm;
+  let r = loop () in
+  (* back on the idle list before [stop] can return, so a [start]
+     right after it reuses this domain *)
+  Mutex.protect idle_lock (fun () -> idle := w :: !idle);
+  Mutex.protect p.pm (fun () ->
+      p.value <- Some r;
+      Condition.broadcast p.pc);
+  work w
+
+let run_on_worker loop =
+  let p = { pm = Mutex.create (); pc = Condition.create (); value = None } in
+  let w =
+    Mutex.protect idle_lock (fun () ->
+        match !idle with
+        | w :: rest ->
+            idle := rest;
+            Some w
+        | [] -> None)
+  in
+  let w =
+    match w with
+    | Some w -> w
+    | None ->
+        let w = { wm = Mutex.create (); wc = Condition.create (); job = None } in
+        ignore (Domain.spawn (fun () -> work w));
+        w
+  in
+  Mutex.protect w.wm (fun () ->
+      w.job <- Some (loop, p);
+      Condition.signal w.wc);
+  p
+
+let await p =
+  Mutex.protect p.pm (fun () ->
+      while Option.is_none p.value do
+        Condition.wait p.pc p.pm
+      done;
+      Option.get p.value)
+
 type t = {
   to_server : Unix.file_descr;
   from_server : Unix.file_descr;
   reader : Wire.reader;
   drain_flag : bool Atomic.t;
-  domain : (Server.stop_reason, exn) result Domain.t;
+  finished : promise;
   mutable input_open : bool;
   mutable output_open : bool;
-  mutable stopped : (Server.stop_reason, exn) result option;
+  mutable stopped : outcome option;
 }
 
 (* the real entry points (serve_stdin/serve_socket) ignore SIGPIPE; the
@@ -29,8 +95,8 @@ let start ?(config = Server.default) () =
   let req_r, req_w = Unix.pipe ~cloexec:true () in
   let resp_r, resp_w = Unix.pipe ~cloexec:true () in
   let drain_flag = Atomic.make false in
-  let domain =
-    Domain.spawn (fun () ->
+  let finished =
+    run_on_worker (fun () ->
         let result =
           (* the suite's no-crash assertion: any exception escaping the
              loop is captured and failed on, not swallowed *)
@@ -47,7 +113,7 @@ let start ?(config = Server.default) () =
     from_server = resp_r;
     reader = Wire.reader resp_r;
     drain_flag;
-    domain;
+    finished;
     input_open = true;
     output_open = true;
     stopped = None;
@@ -92,7 +158,7 @@ let stop t =
   | Some r -> r
   | None ->
       close_input t;
-      let r = Domain.join t.domain in
+      let r = await t.finished in
       close_output t;
       t.stopped <- Some r;
       r

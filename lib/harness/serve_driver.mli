@@ -1,7 +1,8 @@
 (** In-process client driver for the serve daemon: runs
-    {!Ba_serve.Server.serve} on its own domain over a pair of pipes and
+    {!Ba_serve.Server.serve} on another domain over a pair of pipes and
     exposes the client end — the harness the fault suite and the soak
-    replay drive mixed good/bad traffic through.
+    replay drive mixed good/bad traffic through.  A stopped server's
+    domain stays alive, idle, and runs the next server started.
 
     Keep traffic in request/response lockstep ({!send} then {!recv}):
     the transport is a pipe with finite capacity, so writing unbounded
@@ -9,8 +10,9 @@
 
 type t
 
-(** [start ?config ()] forks the server loop onto a domain.  The
-    returned handle owns both pipe ends. *)
+(** [start ?config ()] runs the server loop on an idle server domain,
+    or on a new one if none is idle.  The returned handle owns both
+    pipe ends. *)
 val start : ?config:Ba_serve.Server.config -> unit -> t
 
 (** Write raw bytes (possibly a corrupt frame) to the server's input. *)
@@ -38,7 +40,7 @@ val close_input : t -> unit
     and the loop must stop with [Client_gone] — not crash. *)
 val close_output : t -> unit
 
-(** Join the server domain (closing the input first if still open) and
-    return its stop reason.  [Error] carries an exception that escaped
+(** Wait for the server loop to end (closing the input first if still
+    open) and return its stop reason.  [Error] carries an exception that escaped
     the loop — the soak suite asserts this never happens. *)
 val stop : t -> (Ba_serve.Server.stop_reason, exn) result

@@ -26,7 +26,7 @@ type t = {
   inf : int;  (** weight of forbidden pairs *)
   real_max : int;  (** largest directed cost; bounds improving-move gains *)
   nonneg : bool;  (** every directed cost is ≥ 0 (true for all registered
-                      objectives); licenses the locked-edge scan skips *)
+                      objectives); licenses the 3-Opt gain bound *)
   offset : int;  (** directed tour cost = symmetric cost + offset = sym + n·m *)
 }
 
@@ -36,15 +36,20 @@ let out_city i = (2 * i) + 1
 (** [of_dtsp d] wraps the directed instance — O(1), no matrix.  The
     locked weight is [m = 2·max_cost + 2] (strictly more than any single
     improving swap can recover, see DESIGN.md §6) and the forbidden
-    weight is [8·(max_cost + m + 1)]. *)
+    weight is [8·(max_cost + m + 1)].
+    @raise Invalid_argument when [4·inf] would exceed [max_int]: the
+    3-Opt gain bound sums up to four edge costs, each at most [inf]. *)
 let of_dtsp (d : Dtsp.t) : t =
   let n = d.Dtsp.n in
   let cmax = Dtsp.max_cost d in
+  (* inf = 24·(cmax + 1), so 4·inf ≤ max_int ⇔ cmax + 1 ≤ max_int / 96 *)
+  if cmax > (max_int / 96) - 1 then
+    invalid_arg "Sym.of_dtsp: max_cost too large for 63-bit gain sums";
   let m = (2 * cmax) + 2 in
   let inf = 8 * (cmax + m + 1) in
   (* O(n + E) sign sweep: every registered objective emits nonnegative
-     costs, and recording that here lets the 3-Opt scan prove locked
-     edges unprofitable to remove without evaluating the gain *)
+     costs, and recording that here lets the 3-Opt scan bound a
+     reconnection's gain without looking up its third edge *)
   let nonneg = ref true in
   for i = 0 to n - 1 do
     if d.Dtsp.row_default.(i) < 0 then nonneg := false;

@@ -16,14 +16,15 @@ type t = {
   inf : int;  (** forbidden-pair weight *)
   real_max : int;  (** largest directed cost; bounds improving gains *)
   nonneg : bool;  (** every directed cost is ≥ 0 (true for all registered
-                      objectives); licenses the locked-edge scan skips *)
+                      objectives); licenses the 3-Opt gain bound *)
   offset : int;  (** directed cost = symmetric cost + offset (= n·m) *)
 }
 
 val in_city : int -> int
 val out_city : int -> int
 
-(** Build the symmetric instance — O(1), no matrix is materialized. *)
+(** Build the symmetric instance — O(1), no matrix is materialized.
+    @raise Invalid_argument when [4·inf] would exceed [max_int]. *)
 val of_dtsp : Dtsp.t -> t
 
 (** Symmetric weight of a pair: [−m] if locked, [inf] if same parity

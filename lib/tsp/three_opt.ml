@@ -17,6 +17,13 @@
     is representation-independent (pinned by the differential
     property suite).
 
+    The pure 3-opt pair scan is pruned by an exact gain bound (see
+    [try_city]): a reconnection's gain is its bound minus the cost of
+    its third added edge, and with non-negative directed costs a bound
+    ≤ 0 proves it non-improving unless that edge is locked.  Only
+    non-improving reconnections are skipped, so the scan finds the
+    full scan's first improving move and the trajectory is unchanged.
+
     Don't-look bits are version stamps rather than booleans: [version]
     counts tour mutations (every applied move, every [set_tour]) and
     [last_fail.(c)] records the version at which city [c]'s full
@@ -38,6 +45,19 @@
     absolute positions on either representation in O(moves) reversals
     instead of an O(n) [set_tour]. *)
 
+(* y-side scratch of the 3-opt candidate scan: for each candidate y
+   of the removed edge's head b, the quantities that do not depend on
+   the other candidate x — computed once per scan instead of once per
+   (x, y) pair; grown on demand to the neighbor-list width *)
+type scratch = {
+  mutable ry : int array;  (** position of y relative to the base cut *)
+  mutable ry1 : int array;  (** same minus one, cyclically *)
+  mutable sy : int array;  (** tour successor of y *)
+  mutable pry : int array;  (** tour predecessor of y *)
+  mutable gys : int array;  (** d(y, sy) − d(b, y) *)
+  mutable gpy : int array;  (** d(pry, y) − d(b, y) *)
+}
+
 type state = {
   s : Sym.t;
   nbr : int array array;  (** candidate lists, sorted by cost *)
@@ -50,15 +70,7 @@ type state = {
   last_fail : int array;  (** per city: version at last failed scan, −1 never *)
   mutable scans_skipped : int;  (** scans elided by the don't-look stamps *)
   dont_look : bool;
-  (* y-side scratch of the 3-opt candidate scan: for each candidate y
-     of the removed edge's head b, the quantities that do not depend on
-     the other candidate x — computed once per scan instead of once per
-     (x, y) pair; grown on demand to the neighbor-list width *)
-  mutable scr_dby : int array;
-  mutable scr_ry : int array;  (** position of y relative to the base cut *)
-  mutable scr_ry1 : int array;  (** same minus one, cyclically *)
-  mutable scr_sy : int array;  (** tour successor of y *)
-  mutable scr_pry : int array;  (** tour predecessor of y *)
+  scr : scratch;
   mutable dcost : int;  (** tour cost in directed units (see [cost]) *)
   mutable marked : bool;  (** a [mark] is open: mutations are journaled *)
   mutable mark_cost : int;  (** [dcost] when the open mark was set *)
@@ -70,6 +82,7 @@ type state = {
 
 let nn st = st.s.Sym.nn
 let d st a b = Sym.cost st.s a b
+let imax (a : int) b = if a >= b then a else b
 let city_at st p = Tour_repr.city_at st.repr p
 let position st c = Tour_repr.pos st.repr c
 let succ st c = Tour_repr.succ st.repr c
@@ -108,11 +121,7 @@ let init ?(dont_look = true) ?(repr = Tour_repr.Auto) (s : Sym.t) ~nbr ~tour =
     last_fail = Array.make n (-1);
     scans_skipped = 0;
     dont_look;
-    scr_dby = [||];
-    scr_ry = [||];
-    scr_ry1 = [||];
-    scr_sy = [||];
-    scr_pry = [||];
+    scr = { ry = [||]; ry1 = [||]; sy = [||]; pry = [||]; gys = [||]; gpy = [||] };
     dcost = Sym.directed_tour_cost s tour;
     marked = false;
     mark_cost = 0;
@@ -120,14 +129,18 @@ let init ?(dont_look = true) ?(repr = Tour_repr.Auto) (s : Sym.t) ~nbr ~tour =
     jlen = 0;
   }
 
-let ensure_scratch st len =
-  if Array.length st.scr_dby < len then begin
-    st.scr_dby <- Array.make len 0;
-    st.scr_ry <- Array.make len 0;
-    st.scr_ry1 <- Array.make len 0;
-    st.scr_sy <- Array.make len 0;
-    st.scr_pry <- Array.make len 0
-  end
+(** The scan scratch, grown to at least [len] entries. *)
+let scratch st len =
+  let scr = st.scr in
+  if Array.length scr.ry < len then begin
+    scr.ry <- Array.make len 0;
+    scr.ry1 <- Array.make len 0;
+    scr.sy <- Array.make len 0;
+    scr.pry <- Array.make len 0;
+    scr.gys <- Array.make len 0;
+    scr.gpy <- Array.make len 0
+  end;
+  scr
 
 (** Replace the tour wholesale (same cities, new order), e.g. for a
     perturbation restart.  Bumps [version] so stale failed-scan stamps
@@ -307,18 +320,15 @@ let try_city st a =
         let pi = position st a in
         let limit = dab + (2 * st.s.Sym.real_max) in
         let na = st.nbr.(a) and nb = st.nbr.(b) in
-        (* Hoist the y-side of the pair scan: dby, position and tour
-           neighbors of each candidate y depend only on (b, pi), not on
-           x, so compute them once per scan instead of once per pair.
-           The prefix ends at the first dby ≥ limit, exactly where the
-           inner loop used to break (nb is sorted). *)
+        (* Hoist the y-side of the pair scan: position, tour neighbors
+           and the y-side part of every gain bound (below) depend only
+           on (b, pi), not on x, so compute them once per scan instead
+           of once per pair.  The prefix ends at the first dby ≥ limit
+           (nb is sorted). *)
         let nbl = Array.length nb in
-        ensure_scratch st nbl;
-        let dby_s = st.scr_dby
-        and ry_s = st.scr_ry
-        and ry1_s = st.scr_ry1
-        and sy_s = st.scr_sy
-        and pry_s = st.scr_pry in
+        let scr = scratch st nbl in
+        let ry_s = scr.ry and ry1_s = scr.ry1 and sy_s = scr.sy
+        and pry_s = scr.pry and gys_s = scr.gys and gpy_s = scr.gpy in
         let ny = ref 0 in
         let stop = ref false in
         while (not !stop) && !ny < nbl do
@@ -326,34 +336,36 @@ let try_city st a =
           let dby = d st b y in
           if dby >= limit then stop := true
           else begin
-            dby_s.(!ny) <- dby;
             let py = position st y in
             (* positions live in [0, n): conditional adds replace mods *)
             let ry = let r = py - pi in if r < 0 then r + n else r in
             ry_s.(!ny) <- ry;
             ry1_s.(!ny) <- (if ry = 0 then n - 1 else ry - 1);
-            sy_s.(!ny) <- succ st y;
-            pry_s.(!ny) <- pred st y;
+            let sy = succ st y and pry = pred st y in
+            sy_s.(!ny) <- sy;
+            pry_s.(!ny) <- pry;
+            gys_s.(!ny) <- d st y sy - dby;
+            gpy_s.(!ny) <- d st pry y - dby;
             incr ny
           end
         done;
         let ny = !ny in
-        (* Locked-edge pruning (sound, trajectory-identical): when every
-           directed cost is ≥ 0, a reconnection whose removed edges are
-           all locked-or-real (at least one locked) and whose added
-           edges are all non-locked has gain = removed − added
-           ≤ (dab + real_max − m) − 0 = dab − real_max − 2 < 0 whenever
-           the base edge is real — so its evaluation can be skipped
-           without ever computing the costs.  Every test is a parity
-           check on cities the scan already loaded (locked ⇔ xor = 1,
-           forbidden ⇔ even xor), so this holds on any tour, including
-           the transiently non-alternating tours a double-bridge kick
-           leaves behind (where re-adding a split locked pair IS
-           profitable — those evaluations are kept).  On an intact
-           alternating tour exactly one of T3–T6 survives per (x, y)
-           parity combination, which is what makes the 144-pair scan
-           cheap. *)
-        let skip_locked = st.s.Sym.nonneg && dab <= st.s.Sym.real_max in
+        (* Exact gain bound (trajectory-identical).  Every reconnection
+           T adds (a,x), (b,y) and a third edge, and removes (a,b), one
+           tour edge at x and one at y, so
+             gain_T = ub_T − d(third),
+             ub_T = dab − dax − dby + r_x(T) + r_y(T)
+           with r_x, r_y the exact costs of the edges T removes.  When
+           every directed cost is ≥ 0 an unlocked third edge costs ≥ 0,
+           so ub_T ≤ 0 proves T non-improving without looking the third
+           edge up, and a pair whose largest ub_T is ≤ 0 is skipped
+           whole.  A locked third edge (−m: it re-joins an in/out pair
+           that a non-alternating tour splits; parity-tested on cities
+           already loaded) is the one exception and is always
+           evaluated.  Skipping only provably non-improving
+           reconnections keeps the first improving move of the x-major
+           scan, and with it the trajectory. *)
+        let all = not st.s.Sym.nonneg in
         let xi = ref 0 in
         while (not !found) && !xi < Array.length na do
           let x = na.(!xi) in
@@ -363,49 +375,36 @@ let try_city st a =
           else begin
             let px = position st x in
             let sx = succ st x and prx = pred st x in
-            (* removed-edge flags for the x-side cuts: locked, and
-               locked-or-real (odd xor = not forbidden) *)
-            let cut_xs = Sym.is_locked st.s x sx in
-            let cut_px = Sym.is_locked st.s prx x in
-            let rok_xs = (x lxor sx) land 1 = 1 in
-            let rok_px = (prx lxor x) land 1 = 1 in
-            (* every reconnection adds (a, x): never skippable when
-               that pair is locked (it may re-join a kicked-apart
-               pair) *)
-            let add_ax = Sym.is_locked st.s a x in
+            (* x-side part of ub_T: T3/T6 cut (x, sx), T4/T5 cut (prx, x) *)
+            let gxs = dab - dax + d st x sx and gpx = dab - dax + d st prx x in
+            let hx = imax gxs gpx in
+            (* the partners a locked third edge would re-join *)
+            let lsx = sx lxor 1 and lprx = prx lxor 1 in
             let rx = let r = px - pi in if r < 0 then r + n else r in
             let rx1 = if rx = 0 then n - 1 else rx - 1 in
             let yi = ref 0 in
             while (not !found) && !yi < ny do
               let yk = !yi in
               incr yi;
-              let y = nb.(yk) in
-              let dby = dby_s.(yk) in
-              begin
+              let gys = gys_s.(yk) and gpy = gpy_s.(yk) in
+              let sy = sy_s.(yk) and pry = pry_s.(yk) in
+              (* third edges: T3 (sx,sy), T4 (prx,sy), T5 (pry,prx),
+                 T6 (pry,sx) *)
+              let l3 = sy = lsx and l4 = sy = lprx
+              and l5 = pry = lprx and l6 = pry = lsx in
+              if all || hx + imax gys gpy > 0 || l3 || l4 || l5 || l6 then begin
+                let y = nb.(yk) in
                 let ry = ry_s.(yk) and ry1 = ry1_s.(yk) in
-                let sy = sy_s.(yk) and pry = pry_s.(yk) in
-                let cut_ys = Sym.is_locked st.s y sy in
-                let cut_py = Sym.is_locked st.s pry y in
-                let rok_ys = (y lxor sy) land 1 = 1 in
-                let rok_py = (pry lxor y) land 1 = 1 in
-                (* (b, y) is added by every reconnection *)
-                let add_by = Sym.is_locked st.s b y in
-                let addable = (not add_ax) && not add_by in
                 (* T3: x = c at cut j, y = e at cut k.
                    added (a,c) (b,e) (d,f); d = succ x, f = succ y;
                    removed (x, succ x) and (y, succ y) *)
-                (let jj = rx and kk = ry in
+                (let jj = rx and kk = ry and ub = gxs + gys in
                  if
-                   (not !found) && jj >= 1 && kk > jj && kk <= n - 1
-                   && not
-                        (skip_locked && (cut_xs || cut_ys)
-                        && rok_xs && rok_ys && addable
-                        && not (Sym.is_locked st.s sx sy))
+                   (not !found) && (all || ub > 0 || l3)
+                   && jj >= 1 && kk > jj && kk <= n - 1
                  then begin
                    let dd = sx and f = sy in
-                   let gain =
-                     dab + d st x dd + d st y f - dax - dby - d st dd f
-                   in
+                   let gain = ub - d st dd f in
                    if gain > 0 then begin
                      apply_3opt st ~pi ~jj ~kk ~gain T3;
                      List.iter (activate st) [ a; b; x; y; dd; f ];
@@ -415,16 +414,13 @@ let try_city st a =
                 (* T4: x = d (so cut j is just before x), y = e at cut k.
                    added (a,d) (e,b) (c,f); c = pred x, f = succ y;
                    removed (pred x, x) and (y, succ y) *)
-                (let jj = rx1 and kk = ry in
+                (let jj = rx1 and kk = ry and ub = gpx + gys in
                  if
-                   (not !found) && jj >= 1 && kk > jj && kk <= n - 1
-                   && not
-                        (skip_locked && (cut_px || cut_ys)
-                        && rok_px && rok_ys && addable
-                        && not (Sym.is_locked st.s prx sy))
+                   (not !found) && (all || ub > 0 || l4)
+                   && jj >= 1 && kk > jj && kk <= n - 1
                  then begin
                    let c = prx and f = sy in
-                   let gain = dab + d st c x + d st y f - dax - dby - d st c f in
+                   let gain = ub - d st c f in
                    if gain > 0 then begin
                      apply_3opt st ~pi ~jj ~kk ~gain T4;
                      List.iter (activate st) [ a; b; x; y; c; f ];
@@ -434,16 +430,13 @@ let try_city st a =
                 (* T5: x = d (cut j before x), y = f (cut k before y).
                    added (a,d) (e,c) (b,f); c = pred x, e = pred y;
                    removed (pred x, x) and (pred y, y) *)
-                (let jj = rx1 and kk = ry1 in
+                (let jj = rx1 and kk = ry1 and ub = gpx + gpy in
                  if
-                   (not !found) && jj >= 1 && kk > jj && kk <= n - 1
-                   && not
-                        (skip_locked && (cut_px || cut_py)
-                        && rok_px && rok_py && addable
-                        && not (Sym.is_locked st.s pry prx))
+                   (not !found) && (all || ub > 0 || l5)
+                   && jj >= 1 && kk > jj && kk <= n - 1
                  then begin
                    let c = prx and e = pry in
-                   let gain = dab + d st c x + d st e y - dax - dby - d st e c in
+                   let gain = ub - d st e c in
                    if gain > 0 then begin
                      apply_3opt st ~pi ~jj ~kk ~gain T5;
                      List.iter (activate st) [ a; b; x; y; c; e ];
@@ -453,16 +446,13 @@ let try_city st a =
                 (* T6: x = e at cut k, y = d (cut j before y).
                    added (a,e) (d,b) (c,f); c = pred y, f = succ x;
                    removed (pred y, y) and (x, succ x) *)
-                (let jj = ry1 and kk = rx in
+                (let jj = ry1 and kk = rx and ub = gxs + gpy in
                  if
-                   (not !found) && jj >= 1 && kk > jj && kk <= n - 1
-                   && not
-                        (skip_locked && (cut_py || cut_xs)
-                        && rok_py && rok_xs && addable
-                        && not (Sym.is_locked st.s pry sx))
+                   (not !found) && (all || ub > 0 || l6)
+                   && jj >= 1 && kk > jj && kk <= n - 1
                  then begin
                    let c = pry and f = sx in
-                   let gain = dab + d st c y + d st x f - dax - dby - d st c f in
+                   let gain = ub - d st c f in
                    if gain > 0 then begin
                      apply_3opt st ~pi ~jj ~kk ~gain T6;
                      List.iter (activate st) [ a; b; x; y; c; f ];

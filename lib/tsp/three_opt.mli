@@ -20,6 +20,9 @@
     O(moves) reversals — O(moves·√n) on the two-level tour — with the
     exact absolute positions restored. *)
 
+(** Reusable per-scan scratch of [try_city]. *)
+type scratch
+
 type state = {
   s : Sym.t;
   nbr : int array array;
@@ -32,11 +35,7 @@ type state = {
   last_fail : int array;  (** per city: version at last failed scan, −1 never *)
   mutable scans_skipped : int;  (** scans elided by the don't-look stamps *)
   dont_look : bool;
-  mutable scr_dby : int array;  (** y-side scan scratch (see the .ml) *)
-  mutable scr_ry : int array;
-  mutable scr_ry1 : int array;
-  mutable scr_sy : int array;
-  mutable scr_pry : int array;
+  scr : scratch;  (** per-scan candidate scratch *)
   mutable dcost : int;  (** tour cost in directed units *)
   mutable marked : bool;  (** a [mark] is open: mutations are journaled *)
   mutable mark_cost : int;  (** [dcost] at the open mark *)

@@ -5,19 +5,23 @@
     the work queue holds no duplicates and agrees with [in_queue].
     The kick section pins the journaled rollback against the exact
     tour it must restore and {!Ba_tsp.Iterated.solve} against the
-    copy-and-[set_tour] kick loop it replaced. *)
+    copy-and-[set_tour] kick loop it replaced.  The gain-bound section
+    runs [try_city] in lockstep with a scan that computes every gain in
+    full, and checks the pairs the bound skips directly. *)
 
 open Ba_tsp
 module Budget = Ba_robust.Budget
 
 let gen_seed = QCheck2.Gen.int_bound 1_000_000
 
-(** Random directed instance: n ∈ [min_n, max_n], costs in [0, 100). *)
-let dtsp_of_seed ?(min_n = 4) ?(max_n = 12) seed =
+(** Random directed instance: n ∈ [min_n, max_n], costs in
+    [lo, lo + 100). *)
+let dtsp_of_seed ?(min_n = 4) ?(max_n = 12) ?(lo = 0) seed =
   let rng = Random.State.make [| seed |] in
   let n = min_n + Random.State.int rng (max_n - min_n + 1) in
   Dtsp.make
-    (Array.init n (fun _ -> Array.init n (fun _ -> Random.State.int rng 100)))
+    (Array.init n (fun _ ->
+         Array.init n (fun _ -> lo + Random.State.int rng 100)))
 
 let random_directed_tour rng n =
   let t = Array.init n (fun i -> i) in
@@ -435,6 +439,309 @@ let test_oracle_saw_both_outcomes () =
   Alcotest.(check bool) "some kicks accepted" true (!accepted_kicks > 0);
   Alcotest.(check bool) "some kicks rejected" true (!rejected_kicks > 0)
 
+(* ---------------- gain bound: differential against a full scan ---------------- *)
+
+(* What the reference scan applied: [ub] is the move's gain bound
+   (gain + its third edge's cost) and [third_locked] whether that
+   third edge re-joins an in/out pair. *)
+type applied = Two_opt | Three_opt_move of { third_locked : bool; ub : int }
+
+(** [Three_opt.try_city]'s search written out without the gain bound:
+    the same 2-opt scans, the same [dab + 2·real_max] candidate limit
+    and the same x-major T3–T6 order, but every reconnection's gain is
+    computed in full.  Moves are applied through the public journaled
+    [reverse] (a 3-opt move as its {!Tour_repr.reconnect_reversals}
+    sequence), which leaves the same tour array and cost. *)
+let reference_try_city (st : Three_opt.state) a =
+  let s = st.Three_opt.s in
+  let n = s.Sym.nn in
+  let d = Sym.cost s in
+  let succ = Three_opt.succ st and pred = Three_opt.pred st in
+  let pos = Three_opt.position st in
+  let rel c p0 = (pos c - p0 + n) mod n in
+  let activate = List.iter (Three_opt.activate st) in
+  let exception Found of applied in
+  let exception Stop in
+  let prefix limit arr =
+    let l = ref [] in
+    (try Array.iter (fun c -> if limit c then raise Stop else l := c :: !l) arr
+     with Stop -> ());
+    List.rev !l
+  in
+  try
+    List.iter
+      (fun forward ->
+        let b = if forward then succ a else pred a in
+        if not (Sym.is_locked s a b) then begin
+          let dab = d a b in
+          List.iter
+            (fun x ->
+              let y = if forward then succ x else pred x in
+              if x <> b && y <> a then begin
+                let gain = dab + d x y - d a x - d b y in
+                if gain > 0 then begin
+                  let pa, px =
+                    if forward then (pos a, pos x) else (pos y, pos b)
+                  in
+                  let fwd = (px - pa + n) mod n in
+                  if fwd <= n - fwd then Three_opt.reverse st ((pa + 1) mod n) px
+                  else Three_opt.reverse st ((px + 1) mod n) pa;
+                  st.Three_opt.moves_2opt <- st.Three_opt.moves_2opt + 1;
+                  activate [ a; b; x; y ];
+                  raise (Found Two_opt)
+                end
+              end)
+            (prefix (fun x -> d a x >= dab) st.Three_opt.nbr.(a));
+          if forward then begin
+            let pi = pos a in
+            let limit = dab + (2 * s.Sym.real_max) in
+            let ys = prefix (fun y -> d b y >= limit) st.Three_opt.nbr.(b) in
+            List.iter
+              (fun x ->
+                let sx = succ x and prx = pred x in
+                let rx = rel x pi in
+                let rx1 = (rx + n - 1) mod n in
+                List.iter
+                  (fun y ->
+                    let sy = succ y and pry = pred y in
+                    let ry = rel y pi in
+                    let ry1 = (ry + n - 1) mod n in
+                    (* (type, jj, kk, edge cut at x, edge cut at y,
+                       third added edge, the two new endpoints) *)
+                    List.iter
+                      (fun (ty, jj, kk, (p, q), (u, v), (e, f)) ->
+                        if jj >= 1 && kk > jj && kk <= n - 1 then begin
+                          let ub = dab + d p q + d u v - d a x - d b y in
+                          let gain = ub - d e f in
+                          if gain > 0 then begin
+                            Tour_repr.reconnect_reversals ~n ~pi ~jj ~kk ty
+                              (Three_opt.reverse st);
+                            st.Three_opt.moves_3opt <- st.Three_opt.moves_3opt + 1;
+                            activate [ a; b; x; y; e; f ];
+                            raise
+                              (Found
+                                 (Three_opt_move
+                                    { third_locked = Sym.is_locked s e f; ub }))
+                          end
+                        end)
+                      [
+                        (Tour_repr.T3, rx, ry, (x, sx), (y, sy), (sx, sy));
+                        (Tour_repr.T4, rx1, ry, (prx, x), (y, sy), (prx, sy));
+                        (Tour_repr.T5, rx1, ry1, (prx, x), (pry, y), (prx, pry));
+                        (Tour_repr.T6, ry1, rx, (x, sx), (pry, y), (pry, sx));
+                      ])
+                  ys)
+              (prefix (fun x -> d a x >= limit) st.Three_opt.nbr.(a))
+          end
+        end)
+      [ true; false ];
+    None
+  with Found m -> Some m
+
+let queue_list (st : Three_opt.state) =
+  List.of_seq (Queue.to_seq st.Three_opt.queue)
+
+(* Both states must agree after every call: same answer, tour, cost,
+   move counts and work queue. *)
+let check_same (impl : Three_opt.state) (oracle : Three_opt.state) what =
+  if Three_opt.tour impl <> Three_opt.tour oracle then
+    QCheck2.Test.fail_reportf "%s: tours differ" what;
+  if Three_opt.cost impl <> Three_opt.cost oracle then
+    QCheck2.Test.fail_reportf "%s: costs differ" what;
+  if
+    impl.Three_opt.moves_2opt <> oracle.Three_opt.moves_2opt
+    || impl.Three_opt.moves_3opt <> oracle.Three_opt.moves_3opt
+  then QCheck2.Test.fail_reportf "%s: move counts differ" what;
+  if queue_list impl <> queue_list oracle then
+    QCheck2.Test.fail_reportf "%s: work queues differ" what
+
+(** Descend both states to a local optimum with the same call
+    sequence — every city in turn, [try_city] until it fails, until a
+    sweep moves nothing — comparing after every call.  Returns the
+    moves the reference applied. *)
+let lockstep_descent impl oracle =
+  let nn = impl.Three_opt.s.Sym.nn in
+  let applied = ref [] and moved = ref true in
+  while !moved do
+    moved := false;
+    for c = 0 to nn - 1 do
+      let again = ref true in
+      while !again do
+        let got = Three_opt.try_city impl c in
+        let want = reference_try_city oracle c in
+        (match want with Some m -> applied := m :: !applied | None -> ());
+        if got <> (want <> None) then
+          QCheck2.Test.fail_reportf "city %d: try_city %b, reference %b" c got
+            (want <> None);
+        check_same impl oracle (Printf.sprintf "city %d" c);
+        again := got;
+        if got then moved := true
+      done
+    done
+  done;
+  !applied
+
+(* two states over the same random tour: alternating, or with
+   [scrambled] a random permutation of the symmetric cities, where most
+   in/out pairs are split and an improving move may re-join one
+   through its third edge *)
+let twin_states ?(scrambled = false) ?repr d seed =
+  let s = Sym.of_dtsp d in
+  let rng = Random.State.make [| seed + 1 |] in
+  let nbr = Neighbors.of_sym s ~k:8 in
+  let tour =
+    if scrambled then random_directed_tour rng s.Sym.nn
+    else Sym.expand s (random_directed_tour rng d.Dtsp.n)
+  in
+  (Three_opt.init ?repr s ~nbr ~tour, Three_opt.init ?repr s ~nbr ~tour)
+
+(** Alternating tours, both representations; odd seeds draw some
+    negative costs, where [Sym.nonneg] is false and nothing is
+    bounded. *)
+let prop_bound_alternating =
+  QCheck2.Test.make ~count:150
+    ~name:"try_city = full-gain reference scan (alternating tours)" gen_seed
+    (fun seed ->
+      let lo = if seed land 1 = 1 then -20 else 0 in
+      List.iter
+        (fun repr ->
+          let impl, oracle = twin_states ~repr (dtsp_of_seed ~lo seed) seed in
+          ignore (lockstep_descent impl oracle))
+        reprs;
+      true)
+
+(* Settle both states, then kick both with identically seeded double
+   bridges and re-descend in lockstep.  A double bridge cuts only
+   unlocked edges, so these tours stay alternating: this is the kick
+   re-descent the solver spends its time in. *)
+let prop_bound_kicked =
+  QCheck2.Test.make ~count:100
+    ~name:"try_city = full-gain reference scan (after double bridges)"
+    gen_seed (fun seed ->
+      let impl, oracle =
+        twin_states (dtsp_of_seed ~min_n:5 ~max_n:14 seed) seed
+      in
+      ignore (lockstep_descent impl oracle);
+      let rng_i = Random.State.make [| seed + 7 |]
+      and rng_o = Random.State.make [| seed + 7 |] in
+      for _ = 1 to 8 do
+        if Iterated.double_bridge impl rng_i <> Iterated.double_bridge oracle rng_o
+        then QCheck2.Test.fail_reportf "kicks differ";
+        check_same impl oracle "after the kick";
+        ignore (lockstep_descent impl oracle)
+      done;
+      true)
+
+let scrambled_states seed =
+  twin_states ~scrambled:true (dtsp_of_seed ~min_n:5 ~max_n:14 seed) seed
+
+let prop_bound_scrambled =
+  QCheck2.Test.make ~count:100
+    ~name:"try_city = full-gain reference scan (split pairs)" gen_seed
+    (fun seed ->
+      let impl, oracle = scrambled_states seed in
+      ignore (lockstep_descent impl oracle);
+      true)
+
+(** The one exception to the bound: a move whose third edge re-joins a
+    split pair gains [ub + m], so it improves although its bound [ub]
+    is ≤ 0.  Such moves are the first improving move of some scans from
+    split-pair tours, and [try_city] makes each of them (the lockstep
+    fails otherwise). *)
+let test_locked_third_edge () =
+  let found = ref 0 in
+  for seed = 0 to 19 do
+    let impl, oracle = scrambled_states seed in
+    List.iter
+      (function
+        | Three_opt_move { third_locked = true; ub } when ub <= 0 -> incr found
+        | _ -> ())
+      (lockstep_descent impl oracle)
+  done;
+  Alcotest.(check bool) "an improving move re-adds a locked third edge" true
+    (!found > 0)
+
+(* Pairs the bound skips in one state: those whose largest bound is ≤ 0
+   and whose four third edges are all unlocked.  Fails if any of them
+   has an improving T3–T6 reconnection; returns how many there were. *)
+let skipped_pairs (st : Three_opt.state) =
+  let s = st.Three_opt.s in
+  let d = Sym.cost s in
+  let succ = Three_opt.succ st and pred = Three_opt.pred st in
+  let skipped = ref 0 in
+  for a = 0 to s.Sym.nn - 1 do
+    let b = succ a in
+    if not (Sym.is_locked s a b) then begin
+      let dab = d a b in
+      let limit = dab + (2 * s.Sym.real_max) in
+      Array.iter
+        (fun x ->
+          Array.iter
+            (fun y ->
+              let sx = succ x and prx = pred x in
+              let sy = succ y and pry = pred y in
+              let base = dab - d a x - d b y in
+              let rx = max (d x sx) (d prx x) and ry = max (d y sy) (d pry y) in
+              let thirds = [ (sx, sy); (prx, sy); (pry, prx); (pry, sx) ] in
+              if
+                d a x < limit && d b y < limit
+                && base + rx + ry <= 0
+                && not (List.exists (fun (e, f) -> Sym.is_locked s e f) thirds)
+              then begin
+                incr skipped;
+                List.iter
+                  (fun gain ->
+                    if gain > 0 then
+                      QCheck2.Test.fail_reportf
+                        "skipped pair a=%d x=%d y=%d improves by %d" a x y gain)
+                  [
+                    base + d x sx + d y sy - d sx sy;
+                    base + d prx x + d y sy - d prx sy;
+                    base + d prx x + d pry y - d pry prx;
+                    base + d x sx + d pry y - d pry sx;
+                  ]
+              end)
+            st.Three_opt.nbr.(b))
+        st.Three_opt.nbr.(a)
+    end
+  done;
+  !skipped
+
+(* alternating, kicked or split-pair tours by seed *)
+let bound_case seed =
+  match seed mod 3 with
+  | 0 ->
+      let _, _, st = state_of_seed ~min_n:5 seed in
+      st
+  | 1 ->
+      let _, _, st = state_of_seed ~min_n:5 seed in
+      settle st;
+      ignore (Iterated.double_bridge st (Random.State.make [| seed + 3 |]));
+      st
+  | _ -> fst (scrambled_states seed)
+
+(** The skip itself, checked directly on every (x, y) pair of every
+    forward base edge. *)
+let prop_skipped_pairs_non_improving =
+  QCheck2.Test.make ~count:150
+    ~name:"every pair the bound skips has T3-T6 non-improving" gen_seed
+    (fun seed ->
+      ignore (skipped_pairs (bound_case seed));
+      true)
+
+(* ... and the bound is not vacuous: it skips pairs on alternating and
+   kicked tours (split-pair tours cut forbidden edges, whose [inf]
+   lifts every bound above 0) *)
+let test_bound_skips_pairs () =
+  for kind = 0 to 1 do
+    let total = ref 0 in
+    for k = 0 to 9 do
+      total := !total + skipped_pairs (bound_case ((3 * k) + kind))
+    done;
+    Alcotest.(check bool) (Printf.sprintf "tour kind %d skips pairs" kind) true
+      (!total > 0)
+  done
+
 let () =
   Alcotest.run "three-opt-prop"
     [
@@ -459,5 +766,16 @@ let () =
           QCheck_alcotest.to_alcotest prop_solve_matches_oracle;
           Alcotest.test_case "oracle saw accepts and rejects" `Quick
             test_oracle_saw_both_outcomes;
+        ] );
+      ( "gain-bound",
+        [
+          QCheck_alcotest.to_alcotest prop_bound_alternating;
+          QCheck_alcotest.to_alcotest prop_bound_kicked;
+          QCheck_alcotest.to_alcotest prop_bound_scrambled;
+          Alcotest.test_case "locked third edge is evaluated" `Quick
+            test_locked_third_edge;
+          QCheck_alcotest.to_alcotest prop_skipped_pairs_non_improving;
+          Alcotest.test_case "the bound skips pairs" `Quick
+            test_bound_skips_pairs;
         ] );
     ]

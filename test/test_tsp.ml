@@ -105,6 +105,34 @@ let test_sym_reversed_extract () =
   Alcotest.(check (array int)) "reversed" (Dtsp.rotate_to dtour 0)
     (Dtsp.rotate_to back 0)
 
+(* The 3-Opt gain bound sums up to four costs of at most [inf] each, so
+   [Sym.of_dtsp] refuses instances where that could wrap. *)
+let two_city cost = Dtsp.make [| [| 0; cost |]; [| cost; 0 |] |]
+
+let test_sym_rejects_wrapping_costs () =
+  Alcotest.check_raises "cost near max_int/16"
+    (Invalid_argument "Sym.of_dtsp: max_cost too large for 63-bit gain sums")
+    (fun () -> ignore (Sym.of_dtsp (two_city (max_int / 16))))
+
+(* the largest cost the lint gate admits: a BA208-limit count times the
+   largest per-transfer penalty of any control-penalty model *)
+let test_sym_admits_lint_clean_costs () =
+  let penalty (m : Ba_machine.Model.t) =
+    let p = m.Ba_machine.Model.penalties in
+    Ba_machine.Penalties.(
+      List.fold_left max 0
+        [ p.uncond_taken; p.cond_fall_correct; p.cond_taken_correct;
+          p.cond_mispredict; p.multi_correct; p.multi_mispredict ])
+  in
+  let pmax =
+    List.fold_left max 0
+      (List.map penalty
+         Ba_machine.Model.[ alpha21164; deep_pipeline; free_fetch ])
+  in
+  let cost = Ba_check.Rules.overflow_guard * pmax in
+  let s = Sym.of_dtsp (two_city cost) in
+  Alcotest.(check bool) "4·inf fits" true (s.Sym.inf <= max_int / 4)
+
 (* ---------------- 3-opt ---------------- *)
 
 let three_opt_improves d =
@@ -366,6 +394,10 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_sym_roundtrip;
           Alcotest.test_case "cost offset" `Quick test_sym_cost_offset;
           Alcotest.test_case "reversed extract" `Quick test_sym_reversed_extract;
+          Alcotest.test_case "rejects wrapping costs" `Quick
+            test_sym_rejects_wrapping_costs;
+          Alcotest.test_case "admits lint-clean costs" `Quick
+            test_sym_admits_lint_clean_costs;
         ] );
       ( "three-opt",
         [
