@@ -47,6 +47,9 @@ type counter =
   | Segment_rebalances  (** two-level O(n) rebuilds *)
   | Held_karp_iterations  (** Held–Karp subgradient iterations run *)
   | Held_karp_proved  (** bounds stopped by reaching the tour cost *)
+  | Held_karp_dense_iterations
+      (** [directed_bound] iterations whose 1-tree fell back from the
+          pair step to the dense Prim *)
 
 let all_counters =
   [
@@ -76,6 +79,7 @@ let all_counters =
     (Segment_rebalances, "solver.segment_rebalances");
     (Held_karp_iterations, "held_karp.iterations");
     (Held_karp_proved, "held_karp.proved");
+    (Held_karp_dense_iterations, "held_karp.dense_iterations");
   ]
 
 let counter_name c = List.assoc c all_counters
@@ -107,6 +111,7 @@ let counter_index = function
   | Segment_rebalances -> 23
   | Held_karp_iterations -> 24
   | Held_karp_proved -> 25
+  | Held_karp_dense_iterations -> 26
 
 let n_counters = List.length all_counters
 let counters : int Atomic.t array = Array.init n_counters (fun _ -> Atomic.make 0)

@@ -30,6 +30,7 @@ type counter =
   | Segment_rebalances
   | Held_karp_iterations
   | Held_karp_proved
+  | Held_karp_dense_iterations
 
 (** Every counter with its stable snapshot name, in catalogue order. *)
 val all_counters : (counter * string) list

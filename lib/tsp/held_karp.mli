@@ -12,9 +12,28 @@ val default : config
 
 (** Minimum 1-tree under π-modified weights: MST over cities 1..n−1 plus
     the two cheapest edges at city 0; the cost matrix is flat row-major
-    n×n.  Returns (modified weight, degrees).
+    n×n.  Runs the dense O(n²) Prim, as {!bound} does for any raw
+    matrix.  Returns (modified weight, degrees).
     @raise Invalid_argument if [n < 3] or the sizes are wrong. *)
 val one_tree : n:int -> int array -> float array -> float * int array
+
+(** The 1-tree of the symmetrized instance under π, as {!directed_bound}'s
+    ascent computes it.  When π passes two O(n) premises it takes the
+    {e pair step}: each Prim step adds a city and its locked partner and
+    then makes one pass over the remaining pairs, never reading a
+    same-parity ([inf]) entry.  With P_in the least π over in-cities
+    2, 4, …, n−2 and P_out over out-cities 1, 3, …, n−1, the premises are
+    [inf − cmax > |P_in − P_out| + margin] (no forbidden edge is ever
+    the cheapest across a cut) and
+    [max_a (−m + π(2a) + π(2a+1)) + margin < cmin + P_in + P_out] (a
+    locked edge undercuts every other candidate).  The margin,
+    [2⁻⁴⁸·(|entry|max + 2·max |π|)], covers float rounding.  Under the
+    premises the pair step returns the dense Prim's tree, weight bits
+    and degrees, ties included; otherwise the dense Prim runs and
+    [held_karp.dense_iterations] counts one.
+    @raise Invalid_argument if [s] has fewer than 2 directed cities, π
+    is not one entry per symmetric city, or a cost reaches 2⁵². *)
+val sym_one_tree : Sym.t -> float array -> float * int array
 
 (** Held–Karp bound for a symmetric instance given as a flat row-major
     n×n matrix, as a float.  [upper_bound] is any known tour cost
@@ -29,11 +48,17 @@ val one_tree : n:int -> int array -> float array -> float * int array
 val bound : ?config:config -> n:int -> int array -> upper_bound:int -> float
 
 (** Integer Held–Karp lower bound on the optimal directed tour: bound of
-    the symmetrized instance, shifted back and rounded up.  The ascent
+    the symmetrized instance, shifted back and rounded up after
+    subtracting a bound on the iterate's float error, derived from the
+    city count and the largest weight magnitude.  The ascent
     stops as soon as the rounded bound reaches [upper_bound] (the
     integral proof that the known tour is optimal); the result is the
-    one the full ascent would round to.  Each call adds its iterations
-    to the [held_karp.iterations] counter and, when it stopped on the
+    one the full ascent would round to.  Its 1-trees are those of
+    {!sym_one_tree}: the pair step wherever its premises hold, which
+    halves the relaxations of the dense Prim and changes no bit of any
+    iterate.  Each call adds its iterations to the
+    [held_karp.iterations] counter, those that fell back to the dense
+    Prim to [held_karp.dense_iterations] and, when it stopped on the
     proof, one to [held_karp.proved].
     @raise Invalid_argument if the symmetrized costs, the locked-edge
     offset, [upper_bound] or a π-modified weight reaches 2⁵² in

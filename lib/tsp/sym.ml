@@ -95,8 +95,9 @@ let cost (s : t) a b =
 (** [is_locked s a b] is true iff (a,b) is an in/out pair edge. *)
 let is_locked _s a b = a lxor b = 1
 
-(** Dense row-major copy ([a*nn + b]) of the symmetric matrix for the
-    genuinely dense kernels (Held–Karp bounding). *)
+(** Dense row-major copy ([a*nn + b]) of the symmetric matrix: the
+    reference the Held–Karp tests check that kernel's own float matrix
+    (built straight from [t]) against. *)
 let to_flat (s : t) =
   let nn = s.nn and n = s.n_cities in
   let flat = Array.make (nn * nn) s.inf in

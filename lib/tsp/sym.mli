@@ -34,7 +34,8 @@ val cost : t -> int -> int -> int
 (** Is (a, b) an in/out pair edge? *)
 val is_locked : t -> int -> int -> bool
 
-(** Dense row-major copy ([a*nn + b]) for dense kernels (Held–Karp). *)
+(** Dense row-major copy ([a*nn + b]): the reference matrix the
+    Held–Karp tests check that kernel's own float matrix against. *)
 val to_flat : t -> int array
 
 (** Directed tour → symmetric tour [in t0; out t0; in t1; …]. *)

@@ -10,7 +10,9 @@
     timing columns masked), which pins the timing header; (c) one
     SPEC92 pair, dod.sm, is run through the runner and the studies that
     re-price its layouts, and its lines must appear byte for byte in
-    [results/spec92.csv] and [results/report.txt]. *)
+    [results/spec92.csv] and [results/report.txt]; certifying its TSP
+    layout with a computed Held–Karp bound must take a pinned number of
+    ascent iterations. *)
 
 module Csv = Ba_harness.Csv
 module Runner = Ba_harness.Runner
@@ -256,6 +258,33 @@ let test_studies_price_row () =
   Alcotest.(check int) "dynamic static tsp = tsp_self" tsp.Runner.penalty
     tsp_static
 
+(* Certifying the row's self-trained TSP layout with a computed bound
+   runs one Held–Karp ascent per procedure.  The iteration and proof
+   counts pin the whole subgradient trajectory: a change to the 1-tree
+   that moves a single weight bit moves them too.  Every iteration
+   takes the pair step: none falls back to the dense Prim. *)
+let test_dod_sm_ascent () =
+  let module M = Ba_obs.Metrics in
+  let row = Lazy.force dod_sm in
+  let program = row.Runner.tsp_self.Runner.program in
+  let it0 = M.get M.Held_karp_iterations and pr0 = M.get M.Held_karp_proved in
+  let de0 = M.get M.Held_karp_dense_iterations in
+  (match
+     Ba_check.Certify.program
+       ~hk:(fun _ -> Ba_check.Certify.Compute Ba_tsp.Held_karp.default)
+       row.Runner.config.Runner.model program.Driver.cfgs
+       ~train:row.Runner.test_profile ~orders:program.Driver.orders
+   with
+  | Ok _ -> ()
+  | Error f ->
+      Alcotest.failf "dod.sm uncertified: %s"
+        (Ba_check.Certify.error_to_string f.Ba_check.Certify.error));
+  Alcotest.(check int) "held_karp.iterations" 393
+    (M.get M.Held_karp_iterations - it0);
+  Alcotest.(check int) "held_karp.proved" 3 (M.get M.Held_karp_proved - pr0);
+  Alcotest.(check int) "held_karp.dense_iterations" 0
+    (M.get M.Held_karp_dense_iterations - de0)
+
 let () =
   Alcotest.run "golden"
     [
@@ -274,5 +303,7 @@ let () =
             test_committed_dod_sm;
           Alcotest.test_case "studies price the runner's layouts" `Quick
             test_studies_price_row;
+          Alcotest.test_case "Held-Karp ascent pinned" `Quick
+            test_dod_sm_ascent;
         ] );
     ]

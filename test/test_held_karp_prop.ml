@@ -5,8 +5,10 @@
     Both are pinned here against test-local copies of the textbook
     two-pass Prim and the full ascent without that stop: the 1-tree's
     weight must agree bit for bit and its degrees exactly, and every
-    integer bound must be the one the full ascent rounds to.  The last
-    section covers the float-exact guard and its certificate failure. *)
+    integer bound must be the one the full ascent rounds to.  The
+    pair-step 1-tree of symmetrized instances is pinned against the same
+    two-pass Prim, on both sides of its premises.  The last section
+    covers the float-exact guard and its certificate failure. *)
 
 open Ba_tsp
 module Metrics = Ba_obs.Metrics
@@ -58,18 +60,27 @@ let oracle_one_tree ~n (cost : int array) (pi : float array) =
   deg.(!e2) <- deg.(!e2) + 1;
   (!weight, deg)
 
-(** The full ascent.  Besides the bound it reports the iterations run
-    and the first iteration whose best bound [proves l] — the point
-    where the shipped ascent must stop. *)
+(** The float-error bound of an iterate [l] at π, as [directed_bound]
+    rounds with it: [2⁻⁵²·(n·(n·(A + 2·max |π|) + 2A) + |l|)] for
+    entries of magnitude at most A. *)
+let oracle_slack ~n (cost : int array) pi l =
+  let a = float_of_int (Array.fold_left (fun m c -> max m (abs c)) 0 cost) in
+  let pimax = Array.fold_left (fun m p -> Float.max m (Float.abs p)) 0.0 pi in
+  let n = float_of_int n in
+  Float.ldexp ((n *. ((n *. (a +. (2.0 *. pimax))) +. (2.0 *. a))) +. Float.abs l) (-52)
+
+(** The full ascent.  Besides the bound and its slack it reports the
+    iterations run and the first iteration whose best bound [proves l
+    slack] — the point where the shipped ascent must stop. *)
 let oracle_bound ~(config : Held_karp.config) ~proves ~n (cost : int array)
     ~upper_bound =
-  if n = 2 then (float_of_int (2 * cost.(1)), 0, None)
+  if n = 2 then (float_of_int (2 * cost.(1)), 0.0, 0, None)
   else if n = 3 then
-    (float_of_int (cost.(1) + cost.(n + 2) + cost.(2 * n)), 0, None)
+    (float_of_int (cost.(1) + cost.(n + 2) + cost.(2 * n)), 0.0, 0, None)
   else begin
     let pi = Array.make n 0.0 in
     let prev_grad = Array.make n 0.0 in
-    let best = ref neg_infinity in
+    let best = ref neg_infinity and best_slack = ref 0.0 in
     let lambda = ref config.Held_karp.lambda0 in
     let since_improve = ref 0 in
     let iter = ref 0 in
@@ -82,8 +93,9 @@ let oracle_bound ~(config : Held_karp.config) ~proves ~n (cost : int array)
       let l = weight -. (2.0 *. sum_pi) in
       if l > !best then begin
         best := l;
+        best_slack := oracle_slack ~n cost pi l;
         since_improve := 0;
-        if !proof = None && proves l then proof := Some !iter;
+        if !proof = None && proves l !best_slack then proof := Some !iter;
         if l >= float_of_int upper_bound -. 1e-9 then continue := false
       end
       else begin
@@ -113,23 +125,24 @@ let oracle_bound ~(config : Held_karp.config) ~proves ~n (cost : int array)
         done
       end
     done;
-    (!best, !iter, !proof)
+    (!best, !best_slack, !iter, !proof)
   end
 
 (** [(bound, iterations, first proving iteration)] of the full ascent
     on the directed instance, rounded the way [directed_bound] rounds. *)
 let oracle_directed ~config (d : Dtsp.t) ~upper_bound =
   let s = Sym.of_dtsp d in
-  let round l =
-    int_of_float (Float.ceil (l +. float_of_int s.Sym.offset -. 1e-6))
+  let round l slack =
+    let x = l +. float_of_int s.Sym.offset in
+    int_of_float (Float.ceil (x -. (slack +. Float.ldexp (Float.abs x) (-52))))
   in
-  let b, iters, proof =
+  let b, slack, iters, proof =
     oracle_bound ~config
-      ~proves:(fun l -> round l >= upper_bound)
+      ~proves:(fun l slack -> round l slack >= upper_bound)
       ~n:s.Sym.nn (Sym.to_flat s)
       ~upper_bound:(upper_bound - s.Sym.offset)
   in
-  (round b, iters, proof)
+  (round b slack, iters, proof)
 
 (* ------------------------------------------------------------------ *)
 (* the 1-tree                                                          *)
@@ -201,6 +214,158 @@ let test_one_tree_rejects_bad_sizes () =
   Alcotest.(check bool)
     "π not length n" true
     (raises (fun () -> Held_karp.one_tree ~n:4 (Array.make 16 1) (Array.make 3 0.)))
+
+(* ------------------------------------------------------------------ *)
+(* the pair-step 1-tree of symmetrized instances                       *)
+
+(** The shipped [sym_one_tree] against the two-pass oracle on the dense
+    matrix of the same instance: weight bits and degrees.  Reports
+    whether the pair step ran (the dense-fallback counter stayed put). *)
+let sym_agrees (s : Sym.t) pi =
+  let d0 = Metrics.get Metrics.Held_karp_dense_iterations in
+  let w, deg = Held_karp.sym_one_tree s pi in
+  let pair_step = Metrics.get Metrics.Held_karp_dense_iterations = d0 in
+  let w', deg' = oracle_one_tree ~n:s.Sym.nn (Sym.to_flat s) pi in
+  if Int64.bits_of_float w <> Int64.bits_of_float w' || deg <> deg' then
+    QCheck2.Test.fail_reportf
+      "n=%d (%s): weight %h (oracle %h), degrees %s (oracle %s)" s.Sym.n_cities
+      (if pair_step then "pair step" else "dense")
+      w w'
+      (String.concat "," (Array.to_list (Array.map string_of_int deg)))
+      (String.concat "," (Array.to_list (Array.map string_of_int deg')))
+  else pair_step
+
+(** Random directed instance, 2–40 cities, costs in [0, range] with a
+    small range, so equal weights and Prim's tie order are common. *)
+let sym_of_seed seed =
+  let rng = Random.State.make [| 0x5E1; seed |] in
+  let n = 2 + Random.State.int rng 39 in
+  let range = 1 + Random.State.int rng 4 in
+  Sym.of_dtsp
+    (Dtsp.make
+       (Array.init n (fun i ->
+            Array.init n (fun j ->
+                if i = j then 0 else Random.State.int rng (range + 1)))))
+
+let prop_sym_one_tree_at_zero =
+  QCheck2.Test.make ~count:300
+    ~name:"pair-step 1-tree = two-pass Prim at π = 0 (weight bits, degrees)"
+    gen_seed (fun seed ->
+      let s = sym_of_seed seed in
+      (* at π = 0 both premises hold on every nonnegative instance *)
+      sym_agrees s (Array.make s.Sym.nn 0.0))
+
+(** The ascent's own step rule, driven by the oracle's degrees: Polyak
+    steps against a loose upper bound with the 0.7/0.3 momentum, so π
+    spreads the way it does inside [directed_bound]. *)
+let prop_sym_one_tree_along_ascent =
+  QCheck2.Test.make ~count:60
+    ~name:"pair-step 1-tree agrees along a subgradient walk" gen_seed
+    (fun seed ->
+      let s = sym_of_seed seed in
+      let nn = s.Sym.nn in
+      let flat = Sym.to_flat s in
+      let upper = float_of_int (nn * (s.Sym.real_max + 1) - s.Sym.offset) in
+      let pi = Array.make nn 0.0 and prev = Array.make nn 0.0 in
+      let pair_steps = ref 0 in
+      for step = 1 to 60 do
+        if sym_agrees s pi then incr pair_steps;
+        let weight, deg = oracle_one_tree ~n:nn flat pi in
+        let l = weight -. (2.0 *. Array.fold_left ( +. ) 0.0 pi) in
+        let norm2 =
+          Array.fold_left (fun a d -> a +. float_of_int ((d - 2) * (d - 2))) 0.0 deg
+        in
+        if norm2 > 0.0 then begin
+          let t = 2.0 /. float_of_int step *. Float.max 1.0 (upper -. l) /. norm2 in
+          Array.iteri
+            (fun v d ->
+              let g = (0.7 *. float_of_int (d - 2)) +. (0.3 *. prev.(v)) in
+              prev.(v) <- g;
+              pi.(v) <- pi.(v) +. (t *. g))
+            deg
+        end
+      done;
+      !pair_steps > 0)
+
+(** π spreads that break one premise each: in-cities lifted far above
+    out-cities (premise 1), or one pair lifted above every directed
+    edge (premise 2).  The dense fallback must run, and agree. *)
+let prop_sym_one_tree_guard_broken =
+  QCheck2.Test.make ~count:100
+    ~name:"π breaking a pair-step premise falls back to the dense Prim"
+    gen_seed (fun seed ->
+      let s = sym_of_seed seed in
+      let rng = Random.State.make [| 0x6A7; seed |] in
+      let nn = s.Sym.nn in
+      let pi =
+        Array.init nn (fun _ -> 0.5 *. float_of_int (Random.State.int rng 5))
+      in
+      (if seed mod 2 = 0 then begin
+         (* beyond the gap [inf − cmax] by more than π's noise of 2 *)
+         let lift = float_of_int (s.Sym.inf + 4) in
+         let lift = if Random.State.bool rng then lift else -.lift in
+         for a = 1 to s.Sym.n_cities - 1 do
+           pi.(2 * a) <- pi.(2 * a) +. lift
+         done
+       end
+       else
+         let a = 1 + Random.State.int rng (s.Sym.n_cities - 1) in
+         let lift = float_of_int (s.Sym.m + s.Sym.real_max + 4) in
+         pi.(2 * a) <- pi.(2 * a) +. lift;
+         pi.((2 * a) + 1) <- pi.((2 * a) + 1) +. lift);
+      if sym_agrees s pi then
+        QCheck2.Test.fail_reportf "n=%d: the pair step ran" s.Sym.n_cities
+      else true)
+
+(** Premise 1 within a few units of its edge, at magnitudes (π ≈ 2⁵⁰)
+    where one addition rounds by up to ¼: whichever path runs must
+    agree with the oracle. *)
+let prop_sym_one_tree_near_the_edge =
+  QCheck2.Test.make ~count:200
+    ~name:"pair-step 1-tree agrees with premise 1 near its edge" gen_seed
+    (fun seed ->
+      let s = sym_of_seed seed in
+      let rng = Random.State.make [| 0xED6; seed |] in
+      let deltas = [| -1.0; -0.25; 0.0; 0.25; 0.5; 1.0; 2.0; 4.0; 8.0; 32.0 |] in
+      let delta = deltas.(Random.State.int rng (Array.length deltas)) in
+      let base = Float.ldexp 1.0 50 in
+      let quarter () = 0.25 *. float_of_int (Random.State.int rng 4) in
+      let spread = float_of_int (s.Sym.inf - s.Sym.real_max) -. delta in
+      let spread = if Random.State.bool rng then spread else -.spread in
+      let pi =
+        Array.init s.Sym.nn (fun v ->
+            if v land 1 = 0 && v > 0 then base +. spread +. quarter ()
+            else base +. quarter ())
+      in
+      ignore (sym_agrees s pi);
+      true)
+
+let zero_costs n = Dtsp.make (Array.make_matrix n n 0)
+
+(** Premise 1 holds by ¼ exactly, and that ¼ is lost to rounding:
+    with π = 2⁵⁰ on out-cities, the forbidden edge 1–3 and the cross
+    edge 1–4 both round to 2⁵¹ + 24, and the dense Prim's first-index
+    tie order takes the forbidden one.  Only the rounding margin sends
+    this π to the dense Prim. *)
+let test_sym_margin_covers_rounding () =
+  let s = Sym.of_dtsp (zero_costs 3) in
+  let a = Float.ldexp 1.0 50 in
+  let pi = [| a; a; a +. 24.75; a; a +. 23.75; a |] in
+  Alcotest.(check bool) "premise 1 holds without the margin" true
+    (float_of_int (s.Sym.inf - s.Sym.real_max) > 23.75);
+  let d0 = Metrics.get Metrics.Held_karp_dense_iterations in
+  Alcotest.(check bool) "agrees with the two-pass Prim" false (sym_agrees s pi);
+  Alcotest.(check int) "held_karp.dense_iterations counts the fallback"
+    (d0 + 1) (Metrics.get Metrics.Held_karp_dense_iterations)
+
+let test_sym_one_tree_rejects_bad_sizes () =
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  let one = Sym.of_dtsp (Dtsp.make [| [| 0; 0 |]; [| 0; 0 |] |]) in
+  Alcotest.(check bool)
+    "π not one entry per city" true
+    (raises (fun () -> Held_karp.sym_one_tree one (Array.make 3 0.)))
 
 (* ------------------------------------------------------------------ *)
 (* the bound                                                           *)
@@ -396,6 +561,20 @@ let () =
         @ [
             Alcotest.test_case "rejects bad sizes" `Quick
               test_one_tree_rejects_bad_sizes;
+          ] );
+      ( "pair-step",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_sym_one_tree_at_zero;
+            prop_sym_one_tree_along_ascent;
+            prop_sym_one_tree_guard_broken;
+            prop_sym_one_tree_near_the_edge;
+          ]
+        @ [
+            Alcotest.test_case "margin covers rounding" `Quick
+              test_sym_margin_covers_rounding;
+            Alcotest.test_case "rejects bad sizes" `Quick
+              test_sym_one_tree_rejects_bad_sizes;
           ] );
       ( "bound",
         List.map QCheck_alcotest.to_alcotest
