@@ -30,6 +30,11 @@ val count_blocks : unit -> sink * (unit -> int)
     block of the same invocation ([prev = None] right after [Enter]).
     [on_call] fires on every [Enter] with the calling procedure (or
     [None] for the outermost invocation).
+
+    The walker allocates nothing per event: its invocation stack is held
+    in int arrays, and every [Some i] it hands to [on_block] (as [prev])
+    or [on_call] (as [caller]) is one shared value per id, so a consumer
+    must not rely on the physical identity of those options.
     @raise Invalid_argument on malformed streams. *)
 val invocation_walker :
   ?on_enter:(int -> unit) ->

@@ -1,6 +1,9 @@
 (** Interpreter for the minic IR, emitting trace events — simultaneously
     the instrumented program and the hardware of the reproduction.
-    Deterministic given program and input. *)
+    Deterministic given program and input.  Each run translates the
+    program into closures once; scalar positions evaluate to unboxed
+    ints, and only values stored in slots, passed or returned are
+    boxed. *)
 
 exception Runtime_error of string
 

@@ -247,6 +247,41 @@ let test_recursive_invocations () =
     ];
   Alcotest.(check int) "two transfers" 2 !transfers
 
+let test_walker_fresh_invocation_state () =
+  (* a later invocation at the same depth starts with no previous block,
+     and a stack deeper than its initial capacity keeps every level's
+     adjacency *)
+  let transfers = ref [] in
+  let sink =
+    Trace.invocation_walker
+      ~on_block:(fun ~fid ~bid ~prev ->
+        Option.iter (fun p -> transfers := (fid, p, bid) :: !transfers) prev)
+      ()
+  in
+  List.iter sink
+    [
+      Trace.Enter 0; Trace.Block 0;
+      Trace.Enter 1; Trace.Block 2; Trace.Leave;
+      Trace.Enter 1; Trace.Block 3; Trace.Leave;
+      Trace.Block 1; Trace.Leave;
+    ];
+  Alcotest.(check (list (triple int int int)))
+    "no transfer across invocations" [ (0, 0, 1) ] !transfers;
+  transfers := [];
+  let depth = 100 in
+  for f = 0 to depth - 1 do
+    sink (Trace.Enter f);
+    sink (Trace.Block (2 * f))
+  done;
+  for f = depth - 1 downto 0 do
+    sink (Trace.Block ((2 * f) + 1));
+    sink Trace.Leave
+  done;
+  Alcotest.(check (list (triple int int int)))
+    "one transfer per level"
+    (List.init depth (fun f -> (f, 2 * f, (2 * f) + 1)))
+    !transfers
+
 (* ---------------- dot export ---------------- *)
 
 let contains ~sub s =
@@ -299,6 +334,8 @@ let () =
           Alcotest.test_case "orphan leave rejected" `Quick
             test_walker_rejects_orphan_leave;
           Alcotest.test_case "recursion" `Quick test_recursive_invocations;
+          Alcotest.test_case "fresh invocation state" `Quick
+            test_walker_fresh_invocation_state;
         ] );
       ("dot", [ Alcotest.test_case "emits digraph" `Quick test_dot_output ]);
     ]

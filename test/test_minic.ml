@@ -307,6 +307,78 @@ let test_interp_runtime_errors () =
   check_error "fn main() { var x = 1; print(x[0]); }" [||] "expected an array";
   check_error "fn main() { print(1 << 70); }" [||] "out of range"
 
+(* Where evaluation order decides which fault a program hits, the
+   interpreter must raise the same error as it always has.  A binary
+   operator evaluates both operands before either is type-checked, a
+   load type-checks its array before its index, and a store checks its
+   array, then its index, then evaluates its value. *)
+let test_interp_error_order () =
+  let check_error src input want =
+    let c = compile_ok src in
+    match Compile.run c ~input ~sink:Ba_cfg.Trace.null with
+    | (_ : Interp.result) -> Alcotest.failf "expected runtime error %s" want
+    | exception Interp.Runtime_error m -> Alcotest.(check string) src want m
+  in
+  check_error "fn main() { var a = array(2); print(a + 1/0); }" [||]
+    "division by zero";
+  check_error
+    "fn f(x) { return x; } fn main() { var a = array(2); print(f(a) * (1 % 0)); }"
+    [||] "modulo by zero";
+  check_error
+    "fn main() { var a = array(2); if (a < read() << 99) { print(1); } }"
+    [| 1 |] "shift amount 99 out of range";
+  (* the read() on the right is consumed, and its value is the fault,
+     before the array on the left is type-checked *)
+  check_error "fn main() { var a = array(2); print(a + array(read())); }"
+    [| -3 |] "array(-3): negative length";
+  check_error "fn main() { var a = array(2); print(a + read()); }" [| 7 |]
+    "expected an integer, got an array";
+  check_error "fn main() { var x = 1; print(x[1/0]); }" [||]
+    "expected an array, got an integer";
+  check_error "fn main() { var x = 5; x[1/0] = 3; }" [||]
+    "expected an array, got an integer";
+  check_error "fn main() { var x = 1; var a = array(2); a[5] = x[0]; }" [||]
+    "store index 5 out of bounds (length 2)";
+  check_error
+    "fn main() { var a = array(2); var x = 1; a[read()] = x[read()]; }"
+    [| -3; 9 |] "store index -3 out of bounds (length 2)"
+
+(* Blocks executed and inputs consumed by every bundled workload on each
+   of its data sets. *)
+let workload_counters =
+  [
+    ("com.in", 464038, 24001); ("com.st", 571386, 24001);
+    ("dod.re", 1163787, 3); ("dod.sm", 199217, 3);
+    ("eqn.fx", 993200, 50); ("eqn.ip", 750156, 22);
+    ("esp.ti", 1128946, 762); ("esp.tl", 611155, 602);
+    ("su2.re", 675842, 3); ("su2.sh", 200465, 3);
+    ("xli.ne", 3815, 117); ("xli.q7", 1816003, 163);
+    ("m88.srt", 166928, 251); ("m88.clz", 847018, 99);
+    ("ijp.sm", 446959, 2753); ("ijp.nz", 442583, 2753);
+    ("prl.hi", 1102645, 60007); ("prl.lo", 1102970, 60007);
+    ("vor.rd", 571901, 69015); ("vor.wr", 666373, 69082);
+    ("go.a", 278446, 4002); ("go.b", 568831, 4002);
+    ("exc.dp", 248980, 17350); ("exc.fl", 239131, 16548);
+  ]
+
+let test_workload_counters () =
+  let module W = Ba_workloads.Workload in
+  let got =
+    List.concat_map
+      (fun (w : W.t) ->
+        let c = W.compile w in
+        List.map
+          (fun (ds : W.dataset) ->
+            let r = Compile.run c ~input:ds.W.input ~sink:Ba_cfg.Trace.null in
+            ( w.W.name ^ "." ^ ds.W.ds_name,
+              r.Interp.blocks_executed,
+              r.Interp.inputs_consumed ))
+          (W.dataset_list w))
+      Ba_workloads.Workload_apps.everything
+  in
+  Alcotest.(check (list (triple string int int)))
+    "blocks executed, inputs consumed" workload_counters got
+
 let test_interp_recursion_depth_limit () =
   (* runaway recursion must fail fast with a clean error, not wedge the
      host process (OCaml 5 stacks grow, so no Stack_overflow arrives) *)
@@ -427,6 +499,8 @@ let () =
             test_interp_value_position_logic;
           Alcotest.test_case "shifts and bits" `Quick test_interp_shifts_and_bits;
           Alcotest.test_case "runtime errors" `Quick test_interp_runtime_errors;
+          Alcotest.test_case "error order" `Quick test_interp_error_order;
+          Alcotest.test_case "workload counters" `Quick test_workload_counters;
           Alcotest.test_case "step limit" `Quick test_interp_step_limit;
           Alcotest.test_case "recursion depth limit" `Quick
             test_interp_recursion_depth_limit;

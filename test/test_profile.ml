@@ -156,6 +156,127 @@ let test_call_graph_collection () =
   (* the initial main invocation has no caller and is not counted *)
   Alcotest.(check int) "total intra-program calls" 3 (Profile.total_calls prof)
 
+(* ---------------- a Hashtbl collector as the oracle ---------------- *)
+
+(* The reference collector: one hash table per (procedure, source block)
+   and one for the call graph, frozen by sorting.  [Collect] must give an
+   equal [Profile.t] on every trace. *)
+let oracle ~(n_blocks : int array) =
+  let tables =
+    Array.map (fun n -> Array.init n (fun _ -> Hashtbl.create 2)) n_blocks
+  in
+  let calls = Hashtbl.create 16 in
+  let bump tbl k =
+    Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+  in
+  let sink =
+    Trace.invocation_walker
+      ~on_call:(fun ~caller ~callee ->
+        Option.iter (fun c -> bump calls (c, callee)) caller)
+      ~on_block:(fun ~fid ~bid ~prev ->
+        Option.iter (fun src -> bump tables.(fid).(src) bid) prev)
+      ()
+  in
+  let freeze () =
+    {
+      Profile.procs =
+        Array.map
+          (fun proc_tables ->
+            {
+              Profile.freqs =
+                Array.map
+                  (fun tbl ->
+                    Hashtbl.fold (fun d n acc -> (d, n) :: acc) tbl []
+                    |> List.sort compare |> Array.of_list)
+                  proc_tables;
+            })
+          tables;
+      calls =
+        Hashtbl.fold (fun (c, e) n acc -> (c, e, n) :: acc) calls []
+        |> List.sort compare;
+    }
+  in
+  (sink, freeze)
+
+(* Feed one run into both collectors at once; a run that stops on a
+   runtime error still leaves two profiles to compare. *)
+let both_profiles ~n_blocks run =
+  let c = Collect.create ~n_blocks in
+  let osink, ofreeze = oracle ~n_blocks in
+  (try run (Trace.tee (Collect.sink c) osink)
+   with Ba_minic.Interp.Runtime_error _ -> ());
+  (Collect.freeze c, ofreeze ())
+
+let check_same_profile label (got, want) =
+  Alcotest.(check bool) (label ^ ": freqs") true
+    (got.Profile.procs = want.Profile.procs);
+  Alcotest.(check (list (triple int int int)))
+    (label ^ ": calls") want.Profile.calls got.Profile.calls
+
+let test_oracle_workloads () =
+  let module W = Ba_workloads.Workload in
+  List.iter
+    (fun (w : W.t) ->
+      let c = W.compile w in
+      List.iter
+        (fun (ds : W.dataset) ->
+          check_same_profile (w.W.name ^ "." ^ ds.W.ds_name)
+            (both_profiles ~n_blocks:(Ba_minic.Compile.n_blocks c) (fun sink ->
+                 ignore (Ba_minic.Compile.run c ~input:ds.W.input ~sink))))
+        (W.dataset_list w))
+    Ba_workloads.Workload_apps.everything
+
+let prop_oracle_fuzzed_programs =
+  QCheck2.Test.make ~count:80 ~name:"Collect = oracle on fuzzed programs"
+    (QCheck2.Gen.int_bound 1_000_000) (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let src = Ba_minic.Pretty.program (Ba_testutil.Minic_gen.program rng) in
+      match Ba_minic.Compile.compile src with
+      | Error _ -> false
+      | Ok c ->
+          let got, want =
+            both_profiles ~n_blocks:(Ba_minic.Compile.n_blocks c) (fun sink ->
+                ignore
+                  (Ba_minic.Compile.run ~limit:200_000 c
+                     ~input:(Array.init 16 (fun i -> (i * 7) - 20))
+                     ~sink))
+          in
+          got = want)
+
+(* Random well-formed event streams over several procedures, with blocks
+   of up to [fan] successors: exercises row growth past two successors
+   and every cell of the call matrix. *)
+let prop_oracle_random_traces =
+  let gen =
+    QCheck2.Gen.(
+      pair (int_range 1 4) (list_size (int_range 0 400) (pair (int_bound 9) nat)))
+  in
+  QCheck2.Test.make ~count:200 ~name:"Collect = oracle on random traces" gen
+    (fun (n_procs, steps) ->
+      let n_blocks = Array.init n_procs (fun f -> 3 + (5 * f)) in
+      let run sink =
+        let depth = ref 0 in
+        sink (Trace.Enter 0);
+        incr depth;
+        let fid = ref [ 0 ] in
+        List.iter
+          (fun (op, r) ->
+            match op with
+            | 0 | 1 ->
+                let f = r mod n_procs in
+                sink (Trace.Enter f);
+                fid := f :: !fid;
+                incr depth
+            | 2 when !depth > 1 ->
+                sink Trace.Leave;
+                fid := List.tl !fid;
+                decr depth
+            | _ -> sink (Trace.Block (r mod n_blocks.(List.hd !fid))))
+          steps
+      in
+      let got, want = both_profiles ~n_blocks run in
+      got = want)
+
 let test_profile_of_run () =
   let prof = Collect.profile_of_run ~n_blocks:[| 5 |] run_diamond_trace in
   Alcotest.(check int) "same as manual collection" 9
@@ -170,6 +291,9 @@ let () =
           Alcotest.test_case "multi-procedure" `Quick test_multi_proc_collect;
           Alcotest.test_case "call graph" `Quick test_call_graph_collection;
           Alcotest.test_case "profile_of_run" `Quick test_profile_of_run;
+          Alcotest.test_case "oracle: every workload" `Quick test_oracle_workloads;
+          QCheck_alcotest.to_alcotest prop_oracle_fuzzed_programs;
+          QCheck_alcotest.to_alcotest prop_oracle_random_traces;
         ] );
       ( "profile",
         [
