@@ -519,11 +519,10 @@ let align_cmd =
     List.iter
       (fun f -> Fmt.pr "fallback: %a@." Ba_align.Driver.pp_fallback f)
       report.Ba_align.Driver.fallbacks;
-    let* orig =
-      Ba_align.Driver.align_checked ~executor Ba_align.Driver.Original
-        model cfgs ~train:prof
+    let orig =
+      Ba_align.Driver.realize Ba_align.Driver.Original model cfgs
+        (Array.map Ba_cfg.Layout.identity cfgs) ~train:prof
     in
-    let orig = orig.Ba_align.Driver.aligned in
     let before = Ba_align.Driver.analytic_penalty model orig ~test:prof in
     let after = Ba_align.Driver.analytic_penalty model aligned ~test:prof in
     Array.iteri

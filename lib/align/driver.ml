@@ -6,11 +6,15 @@
     full-machine simulation (penalties + I-cache + cycles) against any
     testing workload.
 
-    Every procedure is an independent DTSP instance, so whole-program
-    alignment is a fan-out of {!Ba_engine.Task} values over a pluggable
-    {!Ba_engine.Executor} — sequential by default, or a fixed OCaml 5
-    domain pool.  Each task owns its RNG (derived from the solver seed
-    and the procedure index) and mutates nothing shared, so the aligned
+    There is one alignment path.  {!align_proc} is the only per-method
+    dispatch, and {!align_checked} the only whole-program fan-out: after
+    the lint gate, every procedure (an independent DTSP instance)
+    becomes one {!Ba_engine.Task} that runs {!align_proc} along the
+    method's fallback {!chain}, over a pluggable {!Ba_engine.Executor}
+    — sequential by default, or a fixed OCaml 5 domain pool.  {!align}
+    is that path without fallbacks, raising what it would return as an
+    error.  Each task owns its RNG (derived from the solver seed and
+    the procedure index) and mutates nothing shared, so the aligned
     program is bit-identical at any job count (see
     docs/ARCHITECTURE.md for the exact invariants). *)
 
@@ -19,6 +23,8 @@ open Ba_machine
 module Profile = Ba_profile.Profile
 module Executor = Ba_engine.Executor
 module Task = Ba_engine.Task
+module Errors = Ba_robust.Errors
+module Budget = Ba_robust.Budget
 
 (** Alignment method. *)
 type method_ =
@@ -53,19 +59,36 @@ type aligned = {
   method_ : method_;
 }
 
-(** [align_proc ?rng method_ model cfg ~profile] lays out one procedure.
-    [rng] is the enclosing task's stream; only the TSP solver draws
-    from it. *)
-let align_proc ?rng (m : method_) (model : Model.t) (cfg : Cfg.t)
-    ~(profile : Profile.proc) : Layout.order =
+(** [align_proc ?rng ?initial ?budget method_ model cfg ~profile] lays
+    out one procedure.  [rng] is the enclosing task's stream; only the
+    TSP solver draws from it, and only TSP reads [initial] (a warm
+    start).  The search methods (TSP, the Calder variants, Btfnt)
+    refuse to start on an exhausted [budget] (default: unlimited), and
+    a TSP solve the budget cut short is an error; Greedy and Original
+    always run.  Exceptions come back as [Error]. *)
+let align_proc ?rng ?initial ?budget (m : method_) (model : Model.t)
+    (cfg : Cfg.t) ~(profile : Profile.proc) : (Layout.order, Errors.t) result
+    =
+  let guard f =
+    match budget with
+    | Some b when Budget.exhausted b -> Error (Budget.timeout_error b)
+    | _ -> Errors.catch ~where:(method_name m) f
+  in
   match m with
-  | Original -> Layout.identity cfg
-  | Greedy -> Greedy.align cfg ~profile
-  | Calder -> Calder.align model cfg ~profile
-  | Calder_exhaustive -> Calder.align_exhaustive model cfg ~profile
-  | Btfnt -> Btfnt.align model cfg ~profile
-  | Tsp config ->
-      (Tsp_align.align ~config ?rng model cfg ~profile).Tsp_align.order
+  | Original -> Ok (Layout.identity cfg)
+  | Greedy -> Errors.catch ~where:"greedy" (fun () -> Greedy.align cfg ~profile)
+  | Calder -> guard (fun () -> Calder.align model cfg ~profile)
+  | Calder_exhaustive ->
+      guard (fun () -> Calder.align_exhaustive model cfg ~profile)
+  | Btfnt -> guard (fun () -> Btfnt.align model cfg ~profile)
+  | Tsp config -> (
+      match
+        Errors.catch ~where:"tsp" (fun () ->
+            Tsp_align.align ~config ?rng ?budget ?initial model cfg ~profile)
+      with
+      | Error e -> Error e
+      | Ok { Tsp_align.degraded = Some e; _ } -> Error e
+      | Ok r -> Ok r.Tsp_align.order)
 
 (** Merge per-procedure task values (already in procedure order) and
     assemble the program: addresses are laid out sequentially because
@@ -76,30 +99,6 @@ let assemble (m : method_) (cfgs : Cfg.t array) parts : aligned =
   let predicted = Array.map (fun (_, _, p) -> p) parts in
   let addr = Addr.build (Array.map2 (fun g r -> (g, r)) cfgs realized) in
   { cfgs; orders; realized; predicted; addr; method_ = m }
-
-(** [align ?executor m model cfgs ~train] aligns a whole program with
-    method [m] under [model], realizing every layout against the
-    training profile.  One task per procedure; the result does not
-    depend on the executor. *)
-let align ?(executor = Executor.Seq) (m : method_) (model : Model.t)
-    (cfgs : Cfg.t array) ~(train : Ba_profile.Profile.t) : aligned =
-  let task fid cfg =
-    Task.make ~id:fid ~label:cfg.Cfg.name (fun ctx ->
-        let profile = Profile.proc train fid in
-        let order =
-          Task.staged ctx Task.Solve (fun () ->
-              align_proc ~rng:(Task.rng ctx) m model cfg ~profile)
-        in
-        let r, pred =
-          Task.staged ctx Task.Realize (fun () ->
-              Evaluate.realize model cfg ~order ~train:profile)
-        in
-        (order, r, pred))
-  in
-  let outcomes =
-    Task.run_all ~seed:(method_seed m) executor (Array.mapi task cfgs)
-  in
-  assemble m cfgs (Array.map (fun o -> o.Task.value) outcomes)
 
 (** [realize m model cfgs orders ~train] is {!align} for layouts
     already chosen by method [m]: realize each procedure's order against
@@ -191,9 +190,6 @@ let check (a : aligned) =
 (* ------------------------------------------------------------------ *)
 (* Checked alignment: validation, budgets and graceful degradation.    *)
 
-module Errors = Ba_robust.Errors
-module Budget = Ba_robust.Budget
-
 (** One procedure that could not be aligned with the requested method and
     was degraded to a cheaper one. *)
 type fallback = {
@@ -224,46 +220,6 @@ let chain = function
   | Greedy -> [ Greedy; Original ]
   | Original -> [ Original ]
 
-(** Attempt one method on one procedure under the shared budget.
-    Methods that do real search (TSP, the Calder variants) refuse to
-    start on an exhausted budget; Greedy and Original always run. *)
-let try_method ?rng ?initial (m : method_) (model : Model.t) (cfg : Cfg.t)
-    ~fid ~(profile : Profile.proc) ~(budget : Budget.t) :
-    (Layout.order, Errors.t) result =
-  let guard f =
-    match Budget.exhausted budget with
-    | true -> Error (Budget.timeout_error ~proc:fid budget)
-    | false -> Errors.catch ~where:(method_name m) f
-  in
-  match m with
-  | Original -> Ok (Layout.identity cfg)
-  | Greedy -> Errors.catch ~where:"greedy" (fun () -> Greedy.align cfg ~profile)
-  | Calder -> guard (fun () -> Calder.align model cfg ~profile)
-  | Calder_exhaustive ->
-      guard (fun () -> Calder.align_exhaustive model cfg ~profile)
-  | Btfnt -> guard (fun () -> Btfnt.align model cfg ~profile)
-  | Tsp config -> (
-      match
-        Errors.catch ~where:"tsp" (fun () ->
-            Tsp_align.align ~config ?rng ~budget ?initial model cfg ~profile)
-      with
-      | Error e -> Error e
-      | Ok r -> (
-          match r.Tsp_align.degraded with
-          | Some (Errors.Solver_timeout t) ->
-              Error (Errors.Solver_timeout { t with proc = Some fid })
-          | Some e -> Error e
-          | None -> Ok r.Tsp_align.order))
-
-(** What one checked per-procedure task yields: the realized layout
-    plus the degradation that produced it, if any. *)
-type checked_proc = {
-  c_order : Layout.order;
-  c_realized : Layout.realized;
-  c_predicted : int option array;
-  c_fallback : fallback option;
-}
-
 (** [align_checked ?executor ?deadline_ms ?fallback m p cfgs ~train] is
     the production entry point: validate the CFGs and the profile, then
     lay out every procedure under a shared wall-clock budget, degrading
@@ -282,95 +238,77 @@ let align_checked ?(executor = Executor.Seq) ?deadline_ms ?(fallback = true)
     ?(warm_start = fun _ -> None) (m : method_) (model : Model.t)
     (cfgs : Cfg.t array) ~(train : Ba_profile.Profile.t) :
     (report, Errors.t) result =
-  let ( let* ) r f = Result.bind r f in
+  let ( let* ) = Result.bind in
   (* validation is the lint gate: the ba_check rule catalogue runs over
      the CFGs and the profile, and the first Error finding (in
      catalogue order: CFG shape, then profile shape, then edges) is
      routed into the typed-error pipeline *)
   let* () = Ba_check.Lint.gate ~profile:train cfgs in
   let budget = Budget.create ?deadline_ms () in
-  let realize_proc fid cfg order profile =
-    let* r, pred =
-      Errors.catch ~where:"realize" (fun () ->
-          Evaluate.realize model cfg ~order ~train:profile)
+  (* one method on one procedure: solve, then realize and check *)
+  let attempt ctx fid cfg profile m' =
+    let* order =
+      Task.staged ctx Task.Solve (fun () ->
+          (* warm starts only make sense for the search method; the
+             deterministic fallbacks ignore them *)
+          let initial = match m' with Tsp _ -> warm_start fid | _ -> None in
+          match
+            align_proc ~rng:(Task.rng ctx) ?initial ~budget m' model cfg
+              ~profile
+          with
+          | Error (Errors.Solver_timeout t) ->
+              Error (Errors.Solver_timeout { t with proc = Some fid })
+          | r -> r)
     in
-    match Layout.check_semantics cfg r with
-    | Ok () -> Ok (order, r, pred)
-    | Error reason ->
-        Error
-          (Errors.Invalid_layout
-             { proc = Some fid; name = Some cfg.Cfg.name; reason })
+    Task.staged ctx Task.Verify (fun () ->
+        let* r, pred =
+          Errors.catch ~where:"realize" (fun () ->
+              Evaluate.realize model cfg ~order ~train:profile)
+        in
+        match Layout.check_semantics cfg r with
+        | Ok () -> Ok (order, r, pred)
+        | Error reason ->
+            Error
+              (Errors.Invalid_layout
+                 { proc = Some fid; name = Some cfg.Cfg.name; reason }))
   in
   (* one task per procedure; the whole fallback chain runs inside the
-     task, so degradation is per-procedure and never global *)
-  let align_one ctx fid cfg : (checked_proc, Errors.t) result =
+     task, so degradation is per-procedure and never global.  [reason]
+     is why the requested method (the head of the chain) gave up. *)
+  let align_one ctx fid cfg =
     let profile = Profile.proc train fid in
-    let rng = Task.rng ctx in
-    let rec attempt first_reason = function
-      | [] ->
-          (* unreachable: Original + a validated CFG always realizes *)
-          Error
-            (Option.value first_reason
-               ~default:
-                 (Errors.Internal
-                    { where = "align_checked"; reason = "empty method chain" }))
+    let rec go reason = function
+      | [] -> Error (Option.get reason) (* chain m is never empty *)
       | m' :: rest -> (
-          let result =
-            (* warm starts only make sense for the search method; the
-               deterministic fallbacks ignore them *)
-            let initial =
-              match m' with Tsp _ -> warm_start fid | _ -> None
-            in
-            let* order =
-              Task.staged ctx Task.Solve (fun () ->
-                  try_method ~rng ?initial m' model cfg ~fid ~profile ~budget)
-            in
-            Task.staged ctx Task.Verify (fun () ->
-                realize_proc fid cfg order profile)
-          in
-          match result with
-          | Ok (order, r, pred) ->
+          match attempt ctx fid cfg profile m' with
+          | Ok part ->
               let fb =
-                if m' = m then None
-                else
-                  let reason =
-                    Option.value first_reason
-                      ~default:
-                        (Errors.Internal
-                           { where = "align_checked"; reason = "unknown" })
-                  in
-                  Some
+                Option.map
+                  (fun reason ->
                     {
                       proc = fid;
                       proc_name = cfg.Cfg.name;
                       requested = m;
                       used = m';
                       reason;
-                    }
+                    })
+                  reason
               in
-              Ok
-                {
-                  c_order = order;
-                  c_realized = r;
-                  c_predicted = pred;
-                  c_fallback = fb;
-                }
+              Ok (part, fb)
+          | Error e when not fallback -> Error e
           | Error e ->
-              let first_reason =
-                match first_reason with Some _ -> first_reason | None -> Some e
-              in
-              if fallback then attempt first_reason rest else Error e)
+              go (if Option.is_none reason then Some e else reason) rest)
     in
-    attempt None (chain m)
+    go None (chain m)
   in
-  let tasks =
-    Array.mapi
-      (fun fid cfg ->
-        Task.make ~id:fid ~label:cfg.Cfg.name (fun ctx ->
-            align_one ctx fid cfg))
-      cfgs
+  let outcomes =
+    Task.run_all ~seed:(method_seed m) executor
+      (Array.mapi
+         (fun fid cfg ->
+           Task.make ~id:fid ~label:cfg.Cfg.name (fun ctx ->
+               align_one ctx fid cfg))
+         cfgs)
   in
-  let outcomes = Task.run_all ~seed:(method_seed m) executor tasks in
   (* deterministic merge: procedure order; the first error by index is
      the one a sequential run would have stopped at *)
   let* parts =
@@ -381,28 +319,22 @@ let align_checked ?(executor = Executor.Seq) ?deadline_ms ?(fallback = true)
         Ok (part :: acc))
       outcomes (Ok [])
   in
-  let parts = Array.of_list parts in
-  let* addr =
+  let* aligned =
     Errors.catch ~where:"addr" (fun () ->
-        Addr.build
-          (Array.map2 (fun g part -> (g, part.c_realized)) cfgs parts))
+        assemble m cfgs (Array.of_list (List.map fst parts)))
   in
-  let fallbacks =
-    Array.to_list parts |> List.filter_map (fun part -> part.c_fallback)
-  in
+  let fallbacks = List.filter_map snd parts in
   (* observability: one fallback-transition event per degraded
      procedure, counted after the deterministic merge *)
   Ba_obs.Metrics.incr ~n:(List.length fallbacks) Ba_obs.Metrics.Fallbacks;
-  Ok
-    {
-      aligned =
-        {
-          cfgs;
-          orders = Array.map (fun part -> part.c_order) parts;
-          realized = Array.map (fun part -> part.c_realized) parts;
-          predicted = Array.map (fun part -> part.c_predicted) parts;
-          addr;
-          method_ = m;
-        };
-      fallbacks;
-    }
+  Ok { aligned; fallbacks }
+
+(** [align ?executor m model cfgs ~train] is {!align_checked} without
+    fallbacks, for callers that want the program or an exception: the
+    aligned program, or [Errors.Error e] raised with the error
+    [align_checked ~fallback:false] returns. *)
+let align ?executor (m : method_) (model : Model.t) (cfgs : Cfg.t array)
+    ~(train : Ba_profile.Profile.t) : aligned =
+  match align_checked ?executor ~fallback:false m model cfgs ~train with
+  | Ok r -> r.aligned
+  | Error e -> raise (Errors.Error e)

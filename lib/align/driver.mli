@@ -2,10 +2,13 @@
     against the training profile, evaluate analytically or simulate on
     the full machine model.
 
-    Per-procedure work is expressed as {!Ba_engine.Task} values run
-    under a pluggable {!Ba_engine.Executor} — [Seq] by default, or a
-    fixed OCaml 5 domain pool — with output bit-identical at any job
-    count (deterministic merge by procedure index, per-task RNGs; see
+    One alignment path: {!align_proc} is the only per-method dispatch
+    and {!align_checked} the only whole-program fan-out; {!align} is
+    {!align_checked} without fallbacks.  Per-procedure work is expressed
+    as {!Ba_engine.Task} values run under a pluggable
+    {!Ba_engine.Executor} — [Seq] by default, or a fixed OCaml 5 domain
+    pool — with output bit-identical at any job count (deterministic
+    merge by procedure index, per-task RNGs; see
     docs/ARCHITECTURE.md). *)
 
 open Ba_cfg
@@ -37,19 +40,37 @@ type aligned = {
   method_ : method_;
 }
 
-(** Lay out one procedure.  [rng] is the enclosing task's stream; only
-    the TSP solver draws from it. *)
+(** Lay out one procedure with one method: the only per-method dispatch.
+
+    - [rng] is the enclosing task's stream; only the TSP solver draws
+      from it.
+    - [initial] is a warm start for the TSP solver's run 0; the other
+      methods ignore it.
+    - [budget] defaults to unlimited (a TSP config's own
+      [solver.deadline_ms], if any, still applies).  The search methods (TSP, Calder,
+      Calder_exhaustive, Btfnt) return [Error (Solver_timeout _)] on an
+      exhausted budget without starting, and a TSP solve the budget cut
+      short ([degraded]) is an [Error] too.  Greedy and Original always
+      run.
+    - Never raises: an exception escaping a method is returned as its
+      typed error.  The [proc] of a [Solver_timeout] is [None]; the
+      caller knows the procedure index. *)
 val align_proc :
   ?rng:Random.State.t ->
+  ?initial:Layout.order ->
+  ?budget:Ba_robust.Budget.t ->
   method_ ->
   Model.t ->
   Cfg.t ->
   profile:Profile.proc ->
-  Layout.order
+  (Layout.order, Ba_robust.Errors.t) result
 
-(** Align a whole program: one task per procedure, run under
-    [executor] (default [Seq]).  The result does not depend on the
-    executor. *)
+(** Align a whole program: {!align_checked} with [~fallback:false],
+    as a plain value.  The program has passed the lint gate and every
+    realized layout {!Ba_cfg.Layout.check_semantics}; the result does
+    not depend on [executor] (default [Seq]).
+    @raise Ba_robust.Errors.Error with the error [align_checked]
+    returns (a gate finding, a failed method, an unfaithful layout). *)
 val align :
   ?executor:Ba_engine.Executor.t ->
   method_ ->
@@ -116,10 +137,12 @@ val chain : method_ -> method_ list
     validates the CFGs and the profile, then lays out every procedure
     under a shared wall-clock budget, degrading deterministically along
     {!chain} when a method times out, fails, or produces an unfaithful
-    layout.  Degradation is per-task: one procedure falling back never
-    degrades its siblings.  With [fallback:false] the first degradation
-    (lowest procedure index) is returned as an error.  Never raises;
-    every returned layout passes {!Ba_cfg.Layout.check_semantics}.
+    layout.  It is the only whole-program fan-out: one task per
+    procedure runs {!align_proc} along the chain.  Degradation is
+    per-task: one procedure falling back never degrades its siblings.
+    With [fallback:false] the first degradation (lowest procedure
+    index) is returned as an error.  Never raises; every returned
+    layout passes {!Ba_cfg.Layout.check_semantics}.
 
     The returned value is independent of the executor whenever the
     budget does not expire mid-run (unlimited or already-exhausted

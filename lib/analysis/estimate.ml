@@ -39,9 +39,6 @@ let w_back = 8.0 (* multiway: back-edge arm weight *)
 let w_exit = 0.4 (* multiway: exit-target arm weight *)
 let cp_cap = 63.0 /. 64.0 (* max cyclic probability: multiplier <= 64 *)
 
-(* Mirrors the BA208 threshold in lib/check/rules.ml: estimated counts
-   stay two orders of magnitude below it even after repairs. *)
-let overflow_guard = max_int / 65536
 let mult_chain_cap = 1.1e12
 
 (* Dempster–Shafer evidence combination of two probabilities. *)
@@ -281,7 +278,8 @@ let estimate ?(invocations = 10_000) (dom : Dom.t) (loops : Loops.t) : result =
     order;
   (* ---- 5. integerization + exact conservation repair ---- *)
   let fmax = Array.fold_left Float.max 1.0 ff in
-  let budget = float_of_int overflow_guard /. 64.0 in
+  (* estimated counts stay a factor of 64 below the profile count limit *)
+  let budget = float_of_int Ba_profile.Profile.overflow_guard /. 64.0 in
   let scale =
     Float.max 1.0 (Float.min (float_of_int (max 1 invocations)) (budget /. fmax))
   in

@@ -106,11 +106,6 @@ let inflows (g : Cfg.t) (p : Profile.proc) =
     p.Profile.freqs;
   inflow
 
-(** Counts whose product with a per-transfer penalty (tens of cycles)
-    approaches [max_int] make the analytic cost model overflow; flag
-    anything within a factor of 2^16 of it. *)
-let overflow_guard = max_int / 65536
-
 (* ------------------------------------------------------------------ *)
 (* CFG rules (BA1xx)                                                   *)
 
@@ -658,7 +653,7 @@ and prof_overflow_risk =
                |> List.mapi (fun src row ->
                       Array.to_list row
                       |> List.filter_map (fun (dst, n) ->
-                             if n > overflow_guard then
+                             if n > Profile.overflow_guard then
                                Some
                                  (diag prof_overflow_risk
                                     ~loc:

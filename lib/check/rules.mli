@@ -21,7 +21,3 @@ type rule = {
 val all : rule list
 
 val by_id : string -> rule option
-
-(** The largest profile count [prof-overflow-risk] (BA208) admits:
-    [max_int / 65536]. *)
-val overflow_guard : int

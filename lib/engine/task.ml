@@ -19,7 +19,7 @@
 
 (** Pipeline stages a task may open a span for, mirroring the classic
     per-procedure aligner pipeline. *)
-type stage = Build | Solve | Realize | Verify
+type stage = Build | Solve | Verify
 
 (* ------------------------------------------------------------------ *)
 
@@ -37,7 +37,6 @@ let spans ctx = ctx.span_buf
 let stage_name = function
   | Build -> "build"
   | Solve -> "solve"
-  | Realize -> "realize"
   | Verify -> "verify"
 
 (** [staged ctx stage f] runs [f ()] inside one span named after the

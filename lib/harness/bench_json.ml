@@ -43,8 +43,12 @@ let objectives_json (r : Runner.row) : Json.t =
     Driver.realize m model cfgs ~train:test
       (Array.mapi
          (fun fid g ->
-           Driver.align_proc m model g
-             ~profile:(Ba_profile.Profile.proc test fid))
+           match
+             Driver.align_proc m model g
+               ~profile:(Ba_profile.Profile.proc test fid)
+           with
+           | Ok order -> order
+           | Error e -> raise (Ba_robust.Errors.Error e))
          cfgs)
   in
   let objective (p : Driver.aligned) =

@@ -14,6 +14,11 @@ type proc = { freqs : (Block.label * int) array array }
     invocation) are not included. *)
 type t = { procs : proc array; calls : (int * int * int) list }
 
+(** Counts whose product with a per-transfer penalty (tens of cycles)
+    approaches [max_int] make the analytic cost model overflow: the
+    limit sits a factor of 2^16 below it. *)
+let overflow_guard = max_int / 65536
+
 let n_procs t = Array.length t.procs
 
 (** [proc t fid] is the profile of procedure [fid]. *)

@@ -14,6 +14,13 @@ type proc = { freqs : (Block.label * int) array array }
     no caller and is not recorded). *)
 type t = { procs : proc array; calls : (int * int * int) list }
 
+(** The largest count a profile may carry: [max_int / 65536], a factor
+    of 2^16 below [max_int], so a count times a per-transfer penalty
+    cannot overflow the analytic cost model.  Lint rule BA208
+    ([prof-overflow-risk]) flags larger counts; the static estimator
+    keeps its counts below it. *)
+val overflow_guard : int
+
 val n_procs : t -> int
 val proc : t -> int -> proc
 

@@ -36,7 +36,9 @@ let aligned_proc ~seed =
   let cfgs, profile = scenario ~seed in
   let row = profile.Profile.procs.(0) in
   let order =
-    Driver.align_proc Driver.Greedy penalties cfgs.(0) ~profile:row
+    match Driver.align_proc Driver.Greedy penalties cfgs.(0) ~profile:row with
+    | Ok order -> order
+    | Error e -> Alcotest.fail (Ba_robust.Errors.to_string e)
   in
   (cfgs.(0), row, order)
 

@@ -243,6 +243,110 @@ let test_align_checked_no_fallback_error () =
       Alcotest.(check (option int)) name expect (proc_of ex))
     (executors ())
 
+(* Every method the consistency checks run. *)
+let all_methods =
+  [ Driver.Original; Driver.Greedy; Driver.Calder; Driver.Calder_exhaustive;
+    Driver.Btfnt; Driver.Tsp Tsp_align.default ]
+
+let ok_or_fail = function
+  | Ok v -> v
+  | Error e -> Alcotest.fail (Errors.to_string e)
+
+(* [align] is [align_checked ~fallback:false] as a plain value, and
+   both equal the per-procedure dispatch replayed on each task's own
+   stream: same orders, realized layouts and addresses for every
+   method on every SPEC92 stand-in, under [Seq] and [Pool 2]. *)
+let test_align_is_checked_path () =
+  List.iter
+    (fun (w : Ba_workloads.Workload.t) ->
+      let compiled = Ba_workloads.Workload.compile w in
+      let cfgs = compiled.Ba_minic.Compile.cfgs in
+      let train =
+        Ba_minic.Compile.profile compiled
+          ~input:(fst w.Ba_workloads.Workload.datasets).Ba_workloads.Workload.input
+      in
+      List.iter
+        (fun m ->
+          let replay =
+            Driver.realize m penalties cfgs ~train
+              (Array.mapi
+                 (fun fid cfg ->
+                   ok_or_fail
+                     (Driver.align_proc
+                        ~rng:(Task.seed_rng ~seed:(Driver.method_seed m) ~id:fid)
+                        m penalties cfg ~profile:(Profile.proc train fid)))
+                 cfgs)
+          in
+          List.iter
+            (fun (name, ex) ->
+              let label what =
+                Printf.sprintf "%s/%s/%s: %s" w.Ba_workloads.Workload.name
+                  (Driver.method_name m) name what
+              in
+              let plain = Driver.align ~executor:ex m penalties cfgs ~train in
+              let checked =
+                (ok_or_fail
+                   (Driver.align_checked ~executor:ex ~fallback:false m
+                      penalties cfgs ~train))
+                  .Driver.aligned
+              in
+              List.iter
+                (fun (what, (a : Driver.aligned)) ->
+                  Alcotest.(check orders_testable)
+                    (label (what ^ " orders")) plain.Driver.orders
+                    a.Driver.orders;
+                  Alcotest.(check bool)
+                    (label (what ^ " realized layouts")) true
+                    (plain.Driver.realized = a.Driver.realized);
+                  Alcotest.(check bool)
+                    (label (what ^ " addresses")) true
+                    (plain.Driver.addr = a.Driver.addr))
+                [ ("align_checked", checked); ("align_proc replay", replay) ])
+            [ ("seq", Executor.Seq); ("pool2", Executor.Pool 2) ])
+        all_methods)
+    Ba_workloads.Workload.all
+
+(* A profile the lint gate rejects (a count on a non-edge) is not
+   aligned: [align] raises the gate's own error. *)
+let test_align_raises_gate_error () =
+  let cfgs, profile = scenario ~seed:0 in
+  let bad =
+    Ba_harness.Faults.inject ~seed:0 Ba_harness.Faults.Non_edge
+      { Ba_harness.Faults.cfgs; profile }
+  in
+  let train = bad.Ba_harness.Faults.profile in
+  let gate =
+    match Ba_check.Lint.gate ~profile:train cfgs with
+    | Ok () -> Alcotest.fail "the injected non-edge passed the gate"
+    | Error e -> Errors.to_string e
+  in
+  match Driver.align Driver.Greedy penalties cfgs ~train with
+  | _ -> Alcotest.fail "align accepted a profile the gate rejects"
+  | exception Errors.Error e ->
+      Alcotest.(check string) "the gate's error" gate (Errors.to_string e)
+
+(* Under an exhausted budget the search methods refuse and the cheap
+   ones still run. *)
+let test_align_proc_exhausted_budget () =
+  let cfgs, profile = scenario ~seed:2 in
+  let budget = Ba_robust.Budget.create ~deadline_ms:0 () in
+  List.iter
+    (fun m ->
+      let r =
+        Driver.align_proc ~budget m penalties cfgs.(0)
+          ~profile:(Profile.proc profile 0)
+      in
+      let name = Driver.method_name m in
+      match (m, r) with
+      | (Driver.Greedy | Driver.Original), Ok _ -> ()
+      | (Driver.Greedy | Driver.Original), Error e ->
+          Alcotest.failf "%s refused: %s" name (Errors.to_string e)
+      | _, Error (Errors.Solver_timeout _) -> ()
+      | _, Error e ->
+          Alcotest.failf "%s: unexpected error %s" name (Errors.to_string e)
+      | _, Ok _ -> Alcotest.failf "%s ran on an exhausted budget" name)
+    all_methods
+
 (* ------------------------------------------------------------------ *)
 (* Harness rows                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -293,6 +397,12 @@ let () =
             `Quick test_align_checked_forced_fallbacks;
           Alcotest.test_case "no-fallback error is lowest procedure" `Quick
             test_align_checked_no_fallback_error;
+          Alcotest.test_case "align is the checked path" `Quick
+            test_align_is_checked_path;
+          Alcotest.test_case "align raises the gate's error" `Quick
+            test_align_raises_gate_error;
+          Alcotest.test_case "align_proc on an exhausted budget" `Quick
+            test_align_proc_exhausted_budget;
         ] );
       ( "harness",
         [

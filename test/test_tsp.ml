@@ -129,7 +129,7 @@ let test_sym_admits_lint_clean_costs () =
       (List.map penalty
          Ba_machine.Model.[ alpha21164; deep_pipeline; free_fetch ])
   in
-  let cost = Ba_check.Rules.overflow_guard * pmax in
+  let cost = Ba_profile.Profile.overflow_guard * pmax in
   let s = Sym.of_dtsp (two_city cost) in
   Alcotest.(check bool) "4·inf fits" true (s.Sym.inf <= max_int / 4)
 
