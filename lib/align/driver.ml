@@ -64,8 +64,9 @@ type aligned = {
     TSP solver draws from it, and only TSP reads [initial] (a warm
     start).  The search methods (TSP, the Calder variants, Btfnt)
     refuse to start on an exhausted [budget] (default: unlimited), and
-    a TSP solve the budget cut short is an error; Greedy and Original
-    always run.  Exceptions come back as [Error]. *)
+    a TSP solve the budget cut short is an error; a TSP config's own
+    [solver.deadline_ms] cuts [budget] shorter still.  Greedy and
+    Original always run.  Exceptions come back as [Error]. *)
 let align_proc ?rng ?initial ?budget (m : method_) (model : Model.t)
     (cfg : Cfg.t) ~(profile : Profile.proc) : (Layout.order, Errors.t) result
     =
@@ -82,6 +83,13 @@ let align_proc ?rng ?initial ?budget (m : method_) (model : Model.t)
       guard (fun () -> Calder.align_exhaustive model cfg ~profile)
   | Btfnt -> guard (fun () -> Btfnt.align model cfg ~profile)
   | Tsp config -> (
+      (* a config's own per-solve deadline still applies under a caller's
+         budget: the solve stops at whichever comes first *)
+      let budget =
+        match (budget, config.Tsp_align.solver.Ba_tsp.Iterated.deadline_ms) with
+        | Some b, Some ms -> Some (Budget.within ms b)
+        | budget, _ -> budget
+      in
       match
         Errors.catch ~where:"tsp" (fun () ->
             Tsp_align.align ~config ?rng ?budget ?initial model cfg ~profile)

@@ -46,8 +46,10 @@ type aligned = {
       from it.
     - [initial] is a warm start for the TSP solver's run 0; the other
       methods ignore it.
-    - [budget] defaults to unlimited (a TSP config's own
-      [solver.deadline_ms], if any, still applies).  The search methods (TSP, Calder,
+    - [budget] defaults to unlimited.  A TSP config's own
+      [solver.deadline_ms], if any, still applies: the solve stops at
+      the earlier of [budget]'s deadline and that many milliseconds
+      after it starts ({!Ba_robust.Budget.within}).  The search methods (TSP, Calder,
       Calder_exhaustive, Btfnt) return [Error (Solver_timeout _)] on an
       exhausted budget without starting, and a TSP solve the budget cut
       short ([degraded]) is an [Error] too.  Greedy and Original always

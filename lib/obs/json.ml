@@ -1,6 +1,7 @@
 (** A minimal JSON tree: enough to emit the observability artifacts
-    (Chrome traces, metric snapshots, bench trajectories) and to parse
-    them back for validation in tests — no external dependency.
+    (Chrome traces, metric snapshots, bench trajectories), to parse
+    them back for validation in tests, and to carry the serve wire
+    protocol — no external dependency.
 
     Emission is canonical: object keys keep insertion order, floats
     print as ["%.6f"], strings are escaped per RFC 8259.  The parser
@@ -19,49 +20,88 @@ type t =
 
 (* ---------------- emission ---------------- *)
 
+(* Strings without a byte to escape are copied whole, integers are
+   written digit by digit, and lists and objects are walked by plain
+   recursion: no closure and no intermediate string per value. *)
+
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let rec first_escape s i =
+  if i >= String.length s || needs_escape (String.unsafe_get s i) then i
+  else first_escape s (i + 1)
+
+let escape_char b = function
+  | '"' -> Buffer.add_string b "\\\""
+  | '\\' -> Buffer.add_string b "\\\\"
+  | '\n' -> Buffer.add_string b "\\n"
+  | '\r' -> Buffer.add_string b "\\r"
+  | '\t' -> Buffer.add_string b "\\t"
+  | c when Char.code c < 0x20 ->
+      Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+  | c -> Buffer.add_char b c
+
 let escape_string b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  let clean = first_escape s 0 in
+  Buffer.add_substring b s 0 clean;
+  for i = clean to String.length s - 1 do
+    escape_char b (String.unsafe_get s i)
+  done;
   Buffer.add_char b '"'
+
+(* [string_of_int i] into [b], most significant digit first; the
+   recursion runs on [-|i|] so that [min_int] needs no special case *)
+let rec add_digits b m =
+  if m <= -10 then add_digits b (m / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (m mod 10)))
+
+let add_int b i =
+  if i < 0 then begin
+    Buffer.add_char b '-';
+    add_digits b i
+  end
+  else add_digits b (-i)
 
 let rec emit b = function
   | Null -> Buffer.add_string b "null"
   | Bool true -> Buffer.add_string b "true"
   | Bool false -> Buffer.add_string b "false"
-  | Int i -> Buffer.add_string b (string_of_int i)
+  | Int i -> add_int b i
   | Float f ->
       if not (Float.is_finite f) then Buffer.add_string b "null"
       else Buffer.add_string b (Printf.sprintf "%.6f" f)
   | String s -> escape_string b s
-  | List l ->
+  | List [] -> Buffer.add_string b "[]"
+  | List (v :: vs) ->
       Buffer.add_char b '[';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char b ',';
-          emit b v)
-        l;
+      emit b v;
+      emit_items b vs;
       Buffer.add_char b ']'
-  | Obj kvs ->
+  | Obj [] -> Buffer.add_string b "{}"
+  | Obj ((k, v) :: kvs) ->
       Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          escape_string b k;
-          Buffer.add_char b ':';
-          emit b v)
-        kvs;
+      emit_field b k v;
+      emit_fields b kvs;
       Buffer.add_char b '}'
+
+and emit_items b = function
+  | [] -> ()
+  | v :: vs ->
+      Buffer.add_char b ',';
+      emit b v;
+      emit_items b vs
+
+and emit_field b k v =
+  escape_string b k;
+  Buffer.add_char b ':';
+  emit b v
+
+and emit_fields b = function
+  | [] -> ()
+  | (k, v) :: kvs ->
+      Buffer.add_char b ',';
+      emit_field b k v;
+      emit_fields b kvs
 
 let to_string (v : t) : string =
   let b = Buffer.create 1024 in
@@ -78,6 +118,15 @@ let write_file path (v : t) =
 
 (* ---------------- parsing ---------------- *)
 
+(* A single-pass cursor: every byte is read with [String.unsafe_get]
+   under an explicit [pos < len] check.  The common shapes take a fast
+   path — a string without an escape is one [String.sub], a plain
+   integer ([-?[0-9]{1,18}], always in range) is converted in place —
+   and everything else (escapes, floats, longer numbers, malformed
+   input) goes through the original byte-at-a-time readers below, so
+   every tree and every ["at byte N: ..."] error is the one they have
+   always produced. *)
+
 exception Parse_error of string
 
 type cursor = { src : string; mutable pos : int }
@@ -85,36 +134,48 @@ type cursor = { src : string; mutable pos : int }
 let fail cur msg =
   raise (Parse_error (Printf.sprintf "at byte %d: %s" cur.pos msg))
 
-let peek cur = if cur.pos < String.length cur.src then Some cur.src.[cur.pos] else None
-
 let advance cur = cur.pos <- cur.pos + 1
 
+(* [at cur c]: the next byte exists and is [c] *)
+let at cur c =
+  cur.pos < String.length cur.src && String.unsafe_get cur.src cur.pos = c
+
 let skip_ws cur =
+  let s = cur.src in
   while
-    match peek cur with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance cur;
-        true
+    cur.pos < String.length s
+    &&
+    match String.unsafe_get s cur.pos with
+    | ' ' | '\t' | '\n' | '\r' -> true
     | _ -> false
   do
-    ()
+    advance cur
   done
 
 let expect cur c =
-  match peek cur with
-  | Some c' when c' = c -> advance cur
-  | Some c' -> fail cur (Printf.sprintf "expected %c, found %c" c c')
-  | None -> fail cur (Printf.sprintf "expected %c, found end of input" c)
+  if at cur c then advance cur
+  else if cur.pos < String.length cur.src then
+    fail cur (Printf.sprintf "expected %c, found %c" c cur.src.[cur.pos])
+  else fail cur (Printf.sprintf "expected %c, found end of input" c)
+
+let rec matches s pos lit i =
+  i >= String.length lit
+  || String.unsafe_get s (pos + i) = String.unsafe_get lit i
+     && matches s pos lit (i + 1)
 
 let parse_literal cur lit value =
   if
     cur.pos + String.length lit <= String.length cur.src
-    && String.sub cur.src cur.pos (String.length lit) = lit
+    && matches cur.src cur.pos lit 0
   then begin
     cur.pos <- cur.pos + String.length lit;
     value
   end
   else fail cur (Printf.sprintf "expected %s" lit)
+
+(* ---- the original readers: escapes, non-plain numbers, errors ---- *)
+
+let peek cur = if cur.pos < String.length cur.src then Some cur.src.[cur.pos] else None
 
 let parse_string_body cur =
   expect cur '"';
@@ -159,12 +220,12 @@ let parse_string_body cur =
   loop ();
   Buffer.contents b
 
-let parse_number cur =
+let is_num_char = function
+  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  | _ -> false
+
+let parse_number_body cur =
   let start = cur.pos in
-  let is_num_char = function
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
-  in
   while (match peek cur with Some c -> is_num_char c | None -> false) do
     advance cur
   done;
@@ -179,60 +240,107 @@ let parse_number cur =
     | Some i -> Int i
     | None -> fail cur (Printf.sprintf "bad number %s" s)
 
+(* ---- fast paths ---- *)
+
+(* the first ['"'] or ['\\'] at or after [i], or the end of [s] *)
+let rec string_stop s i =
+  if i >= String.length s then i
+  else
+    match String.unsafe_get s i with
+    | '"' | '\\' -> i
+    | _ -> string_stop s (i + 1)
+
+let parse_string cur =
+  let s = cur.src in
+  if at cur '"' then begin
+    let start = cur.pos + 1 in
+    let stop = string_stop s start in
+    if stop < String.length s && String.unsafe_get s stop = '"' then begin
+      cur.pos <- stop + 1;
+      String.sub s start (stop - start)
+    end
+    else parse_string_body cur
+  end
+  else parse_string_body cur
+
+(* at a ['-'] or a digit *)
+let parse_number cur =
+  let s = cur.src in
+  let len = String.length s in
+  let neg = String.unsafe_get s cur.pos = '-' in
+  let first = if neg then cur.pos + 1 else cur.pos in
+  let i = ref first and n = ref 0 in
+  while
+    !i < len
+    && !i - first < 18
+    && match String.unsafe_get s !i with '0' .. '9' -> true | _ -> false
+  do
+    n := (10 * !n) + (Char.code (String.unsafe_get s !i) - 48);
+    incr i
+  done;
+  if !i > first && not (!i < len && is_num_char (String.unsafe_get s !i))
+  then begin
+    cur.pos <- !i;
+    Int (if neg then - !n else !n)
+  end
+  else parse_number_body cur
+
 let rec parse_value cur =
   skip_ws cur;
-  match peek cur with
-  | None -> fail cur "unexpected end of input"
-  | Some 'n' -> parse_literal cur "null" Null
-  | Some 't' -> parse_literal cur "true" (Bool true)
-  | Some 'f' -> parse_literal cur "false" (Bool false)
-  | Some '"' -> String (parse_string_body cur)
-  | Some '[' ->
+  if cur.pos >= String.length cur.src then fail cur "unexpected end of input";
+  match String.unsafe_get cur.src cur.pos with
+  | 'n' -> parse_literal cur "null" Null
+  | 't' -> parse_literal cur "true" (Bool true)
+  | 'f' -> parse_literal cur "false" (Bool false)
+  | '"' -> String (parse_string cur)
+  | '[' ->
       advance cur;
       skip_ws cur;
-      if peek cur = Some ']' then begin
+      if at cur ']' then begin
         advance cur;
         List []
       end
-      else begin
-        let items = ref [ parse_value cur ] in
-        skip_ws cur;
-        while peek cur = Some ',' do
-          advance cur;
-          items := parse_value cur :: !items;
-          skip_ws cur
-        done;
-        expect cur ']';
-        List (List.rev !items)
-      end
-  | Some '{' ->
+      else List (parse_items cur)
+  | '{' ->
       advance cur;
       skip_ws cur;
-      if peek cur = Some '}' then begin
+      if at cur '}' then begin
         advance cur;
         Obj []
       end
-      else begin
-        let field () =
-          skip_ws cur;
-          let k = parse_string_body cur in
-          skip_ws cur;
-          expect cur ':';
-          let v = parse_value cur in
-          (k, v)
-        in
-        let fields = ref [ field () ] in
-        skip_ws cur;
-        while peek cur = Some ',' do
-          advance cur;
-          fields := field () :: !fields;
-          skip_ws cur
-        done;
-        expect cur '}';
-        Obj (List.rev !fields)
-      end
-  | Some ('-' | '0' .. '9') -> parse_number cur
-  | Some c -> fail cur (Printf.sprintf "unexpected character %c" c)
+      else Obj (parse_fields cur)
+  | '-' | '0' .. '9' -> parse_number cur
+  | c -> fail cur (Printf.sprintf "unexpected character %c" c)
+
+(* the elements of a non-empty list, through its closing bracket *)
+and[@tail_mod_cons] parse_items cur =
+  let v = parse_value cur in
+  skip_ws cur;
+  if at cur ',' then begin
+    advance cur;
+    v :: parse_items cur
+  end
+  else begin
+    expect cur ']';
+    [ v ]
+  end
+
+(* the fields of a non-empty object, through its closing brace *)
+and[@tail_mod_cons] parse_fields cur =
+  skip_ws cur;
+  let k = parse_string cur in
+  skip_ws cur;
+  expect cur ':';
+  let v = parse_value cur in
+  skip_ws cur;
+  if at cur ',' then begin
+    advance cur;
+    (k, v) :: parse_fields cur
+  end
+  else begin
+    expect cur '}';
+    [ (k, v) ]
+  end
 
 let parse (s : string) : (t, string) result =
   let cur = { src = s; pos = 0 } in
@@ -247,9 +355,11 @@ let parse (s : string) : (t, string) result =
 
 (* ---------------- accessors ---------------- *)
 
-let member key = function
-  | Obj kvs -> List.assoc_opt key kvs
-  | _ -> None
+let rec assoc key = function
+  | [] -> None
+  | (k, v) :: kvs -> if String.equal k key then Some v else assoc key kvs
+
+let member key = function Obj kvs -> assoc key kvs | _ -> None
 
 let to_list = function List l -> Some l | _ -> None
 

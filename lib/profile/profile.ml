@@ -104,25 +104,39 @@ let scale k (p : proc) =
   if k < 0 then invalid_arg "Profile.scale: negative factor";
   { freqs = Array.map (Array.map (fun (d, n) -> (d, n * k))) p.freqs }
 
+(* [canonical row i]: from index [i] on, destinations strictly
+   increase and every count is positive *)
+let rec canonical (row : (Block.label * int) array) i =
+  i >= Array.length row
+  ||
+  let d, n = row.(i) in
+  n > 0 && (i = 0 || fst row.(i - 1) < d) && canonical row (i + 1)
+
 (** [of_freqs rows] builds a per-procedure profile from one raw
     [(dst, count)] row per block, re-establishing the row invariant
     instead of trusting the caller: duplicate destinations are summed,
     non-positive counts dropped, and each row is sorted by destination
-    label. *)
+    label.  A row that already satisfies it is checked and kept as
+    given, not copied. *)
 let of_freqs (rows : (Block.label * int) array array) =
   let tbl = Hashtbl.create 16 in
   {
     freqs =
       Array.map
         (fun row ->
-          Hashtbl.reset tbl;
-          Array.iter
-            (fun (d, n) ->
-              Hashtbl.replace tbl d
-                (n + Option.value ~default:0 (Hashtbl.find_opt tbl d)))
-            row;
-          Hashtbl.fold (fun d n acc -> if n > 0 then (d, n) :: acc else acc) tbl []
-          |> List.sort compare |> Array.of_list)
+          if canonical row 0 then row
+          else begin
+            Hashtbl.reset tbl;
+            Array.iter
+              (fun (d, n) ->
+                Hashtbl.replace tbl d
+                  (n + Option.value ~default:0 (Hashtbl.find_opt tbl d)))
+              row;
+            Hashtbl.fold
+              (fun d n acc -> if n > 0 then (d, n) :: acc else acc)
+              tbl []
+            |> List.sort compare |> Array.of_list
+          end)
         rows;
   }
 

@@ -69,7 +69,8 @@ val of_assoc : n_blocks:int -> (int * int * int) list -> proc
 (** Smart constructor: build a per-procedure profile from one raw
     [(dst, count)] row per block, enforcing the documented row invariant
     (sorted by destination, positive counts only, duplicates summed)
-    rather than leaving it implicit at each construction site. *)
+    rather than leaving it implicit at each construction site.  A row
+    that already satisfies the invariant is kept as given, not copied. *)
 val of_freqs : (Block.label * int) array array -> proc
 
 val pp_proc : Format.formatter -> proc -> unit

@@ -73,6 +73,17 @@ let create ?deadline_ms ?max_moves () =
     moves = Atomic.make 0;
   }
 
+(** [within ms b] is [b] cut short to end no later than [ms]
+    milliseconds from now: [b] itself when its own deadline comes
+    first, else the same move allowance and counter under the nearer
+    deadline, whose elapsed time counts from now. *)
+let within ms b =
+  let started = Mono.now_ns () in
+  let deadline = deadline_after started ms in
+  match b.deadline with
+  | Some d when Int64.compare d deadline <= 0 -> b
+  | _ -> { b with started; deadline = Some deadline; deadline_ms = Some ms }
+
 (** A fresh budget with no limits ({!exhausted} is always false). *)
 let unlimited () = create ()
 

@@ -25,6 +25,12 @@ type t
     nanoseconds (about 9.2e12 ms) saturates and never fires. *)
 val create : ?deadline_ms:int -> ?max_moves:int -> unit -> t
 
+(** [within ms b] ends at the earlier of [b]'s deadline and [ms]
+    milliseconds from now.  It is [b] itself when [b]'s deadline comes
+    first; otherwise it shares [b]'s move allowance and counter, and
+    its elapsed time and reported deadline are the per-solve ones. *)
+val within : int -> t -> t
+
 (** A fresh budget with no limits. *)
 val unlimited : unit -> t
 

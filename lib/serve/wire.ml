@@ -241,10 +241,17 @@ let perr fmt =
 
 let ( let* ) r f = Result.bind r f
 
-let to_int v =
-  match Json.to_number v with
-  | Some f when Float.is_integer f && Float.abs f < 1e15 -> Some (int_of_float f)
-  | _ -> None
+(* an integral number below 1e15 in magnitude; an [Int] is checked
+   without the float round trip *)
+let to_int = function
+  | Json.Int i ->
+      if i > -1_000_000_000_000_000 && i < 1_000_000_000_000_000 then Some i
+      else None
+  | v -> (
+      match Json.to_number v with
+      | Some f when Float.is_integer f && Float.abs f < 1e15 ->
+          Some (int_of_float f)
+      | _ -> None)
 
 let field name doc =
   match Json.member name doc with
@@ -281,6 +288,17 @@ let term_to_json : Block.terminator -> Json.t = function
           ("targets", Json.List (Array.to_list (Array.map (fun l -> Json.Int l) ts)));
         ]
 
+(* [fill_ints a i l] writes the integers of [l] into [a] from index
+   [i]; false as soon as an element is not one *)
+let rec fill_ints a i = function
+  | [] -> true
+  | v :: vs -> (
+      match to_int v with
+      | Some x ->
+          a.(i) <- x;
+          fill_ints a (i + 1) vs
+      | None -> false)
+
 let term_of_json v =
   let* kind = str_field "kind" v in
   match kind with
@@ -294,16 +312,9 @@ let term_of_json v =
       Ok (Block.Branch { t; f })
   | "multiway" ->
       let* ts = list_field "targets" v in
-      let* ts =
-        List.fold_right
-          (fun t acc ->
-            let* acc = acc in
-            match to_int t with
-            | Some i -> Ok (i :: acc)
-            | None -> perr "multiway target is not an integer")
-          ts (Ok [])
-      in
-      Ok (Block.Multiway (Array.of_list ts))
+      let targets = Array.make (List.length ts) 0 in
+      if fill_ints targets 0 ts then Ok (Block.Multiway targets)
+      else perr "multiway target is not an integer"
   | k -> perr "unknown terminator kind %S" k
 
 let cfg_to_json (g : Cfg.t) : Json.t =
@@ -324,6 +335,16 @@ let cfg_to_json (g : Cfg.t) : Json.t =
                 g.Cfg.blocks)) );
     ]
 
+(* [decode_all f l] runs [f i v] on every element of [l], in order, and
+   returns the error of the last element that fails: the precedence of
+   the right fold over a list of results these decoders once were *)
+let decode_all f l =
+  let rec go i err = function
+    | [] -> err
+    | v :: vs -> go (i + 1) (match f i v with Ok () -> err | e -> e) vs
+  in
+  go 0 (Ok ()) l
+
 let cfg_of_json ~max_blocks v =
   let* name = str_field "name" v in
   let* entry = int_field "entry" v in
@@ -338,23 +359,21 @@ let cfg_of_json ~max_blocks v =
            reason = Printf.sprintf "%d blocks exceeds the limit of %d" n max_blocks;
          })
   else
-    let* blocks =
-      List.fold_right
-        (fun b acc ->
-          let* acc = acc in
-          let* size = int_field "size" b in
-          let* t = field "term" b in
-          let* term = term_of_json t in
-          Ok ((size, term) :: acc))
-        blocks (Ok [])
+    let sizes = Array.make n 0 and terms = Array.make n Block.Exit in
+    let block i b =
+      let* size = int_field "size" b in
+      let* t = field "term" b in
+      let* term = term_of_json t in
+      sizes.(i) <- size;
+      terms.(i) <- term;
+      Ok ()
     in
+    let* () = decode_all block blocks in
     (* Block.make / Cfg.make validate shapes and raise Invalid_argument;
        route that into the typed pipeline rather than letting it escape *)
     match
-      let blocks =
-        List.mapi (fun id (size, term) -> Block.make ~id ~size term) blocks
-      in
-      Cfg.make ~name ~entry (Array.of_list blocks)
+      Cfg.make ~name ~entry
+        (Array.init n (fun id -> Block.make ~id ~size:sizes.(id) terms.(id)))
     with
     | g -> Ok g
     | exception Invalid_argument reason ->
@@ -388,31 +407,32 @@ let profile_of_json ~n_blocks v =
                what = "profile rows";
              })
       else
-        let* triples =
-          List.fold_right
-            (fun (src, row) acc ->
-              let* acc = acc in
-              match Json.to_list row with
-              | None -> perr "profile row %d is not a list" src
-              | Some pairs ->
-                  List.fold_right
-                    (fun pair acc ->
-                      let* acc = acc in
-                      match Json.to_list pair with
-                      | Some [ d; c ] -> (
-                          match (to_int d, to_int c) with
-                          | Some dst, Some count -> Ok ((src, dst, count) :: acc)
-                          | _ -> perr "profile entry in row %d is not [dst, count]" src)
-                      | _ -> perr "profile entry in row %d is not [dst, count]" src)
-                    pairs (Ok acc))
-            (List.mapi (fun i r -> (i, r)) rows)
-            (Ok [])
+        let freqs = Array.make n_blocks [||] in
+        let row src v =
+          let bad () = perr "profile entry in row %d is not [dst, count]" src in
+          match Json.to_list v with
+          | None -> perr "profile row %d is not a list" src
+          | Some pairs ->
+              let r = Array.make (List.length pairs) (0, 0) in
+              let rec fill i = function
+                | [] ->
+                    freqs.(src) <- r;
+                    Ok ()
+                | Json.List [ d; c ] :: pairs -> (
+                    match (to_int d, to_int c) with
+                    | Some dst, Some count ->
+                        r.(i) <- (dst, count);
+                        fill (i + 1) pairs
+                    | _ -> bad ())
+                | _ -> bad ()
+              in
+              fill 0 pairs
         in
-        (* of_assoc tolerates duplicates and zeros; anything genuinely
+        let* () = decode_all row rows in
+        (* of_freqs tolerates duplicates and zeros; anything genuinely
            invalid (dangling labels, negative counts) is left for the
            lint gate, which reports it as a typed profile error *)
-        Errors.catch ~where:"profile" (fun () ->
-            Profile.of_assoc ~n_blocks triples)
+        Ok (Profile.of_freqs freqs)
 
 (* -------- options / request -------- *)
 

@@ -110,6 +110,47 @@ let test_deadline_zero_no_fallback () =
   | Error e ->
       Alcotest.failf "expected Solver_timeout, got %s" (Errors.to_string e)
 
+(* A TSP config's own per-solve deadline applies on the checked path
+   too, as it does to a bare [align_proc]: the attempt's budget ends at
+   the earlier of the request deadline and the per-solve one. *)
+let test_solver_deadline_checked () =
+  let cfgs, train = program ~seed:5 ~n_procs:2 in
+  let with_deadline ms =
+    Driver.Tsp
+      {
+        Tsp_align.default with
+        solver = { Tsp_align.default.Tsp_align.solver with deadline_ms = Some ms };
+      }
+  in
+  let timeout what = function
+    | Error (Errors.Solver_timeout { deadline_ms = Some 0; _ }) -> ()
+    | Error e -> Alcotest.failf "%s: expected Solver_timeout, got %s" what (Errors.to_string e)
+    | Ok _ -> Alcotest.failf "%s: a zero per-solve deadline succeeded" what
+  in
+  timeout "align_proc"
+    (Driver.align_proc (with_deadline 0) penalties cfgs.(0)
+       ~profile:(Profile.proc train 0));
+  timeout "align_checked"
+    (Driver.align_checked ~fallback:false (with_deadline 0) penalties cfgs ~train);
+  timeout "align_checked under a request deadline"
+    (Driver.align_checked ~deadline_ms:60_000 ~fallback:false (with_deadline 0)
+       penalties cfgs ~train);
+  (match Driver.align_checked (with_deadline 0) penalties cfgs ~train with
+  | Ok report ->
+      Alcotest.(check (list string)) "every procedure fell back to calder"
+        [ "calder"; "calder" ]
+        (List.map (fun f -> Driver.method_name f.Driver.used) report.Driver.fallbacks)
+  | Error e -> Alcotest.failf "with fallback: %s" (Errors.to_string e));
+  (* a per-solve deadline that never fires changes nothing *)
+  match
+    ( Driver.align_checked ~fallback:false (with_deadline 60_000) penalties cfgs ~train,
+      Driver.align_checked ~fallback:false tsp penalties cfgs ~train )
+  with
+  | Ok a, Ok b ->
+      Alcotest.(check bool) "same layouts" true
+        (a.Driver.aligned.Driver.orders = b.Driver.aligned.Driver.orders)
+  | _ -> Alcotest.fail "a generous per-solve deadline failed"
+
 (* A generous deadline must not degrade anything, and the result must
    agree with the unchecked driver. *)
 let test_generous_deadline_no_fallback () =
@@ -128,6 +169,26 @@ let test_generous_deadline_no_fallback () =
             (Printf.sprintf "proc %d agrees with unchecked driver" fid)
             plain.Driver.orders.(fid) o)
         report.Driver.aligned.Driver.orders
+
+(* [within] keeps the nearer deadline and the shared move counter. *)
+let test_budget_within () =
+  let b = Budget.create ~deadline_ms:60_000 ~max_moves:3 () in
+  Alcotest.(check bool) "a later cap keeps the budget" true (Budget.within 120_000 b == b);
+  let cut = Budget.within 0 b in
+  Alcotest.(check bool) "a nearer cap is exhausted at 0" true (Budget.exhausted cut);
+  Alcotest.(check bool) "the original is not" false (Budget.exhausted b);
+  (match Budget.timeout_error cut with
+  | Errors.Solver_timeout { deadline_ms = Some 0; _ } -> ()
+  | e -> Alcotest.failf "reported %s" (Errors.to_string e));
+  let free = Budget.within 60_000 (Budget.unlimited ()) in
+  Alcotest.(check (option int)) "an unlimited budget gains the deadline" (Some 60_000)
+    (match Budget.timeout_error free with
+    | Errors.Solver_timeout t -> t.deadline_ms
+    | _ -> None);
+  let shared = Budget.within 60_000 (Budget.create ~max_moves:2 ()) in
+  Budget.spend shared;
+  Budget.spend shared;
+  Alcotest.(check bool) "the move allowance carries over" true (Budget.exhausted shared)
 
 (* Budget unit semantics. *)
 let test_budget_semantics () =
@@ -341,6 +402,10 @@ let () =
           Alcotest.test_case "deadline clamping" `Quick test_clamp_deadline;
           Alcotest.test_case "move counter atomic across domains" `Quick
             test_budget_atomic_moves;
+          Alcotest.test_case "per-solve deadline on the checked path" `Quick
+            test_solver_deadline_checked;
+          Alcotest.test_case "within keeps the nearer deadline" `Quick
+            test_budget_within;
         ] );
       ( "contract",
         [

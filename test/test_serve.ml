@@ -187,6 +187,80 @@ let test_request_decode_errors_limited () =
   | Ok _ -> Alcotest.fail "oversized CFG accepted"
   | Error e -> Alcotest.failf "wrong error: %s" (Errors.to_string e)
 
+(* Two bad blocks or two bad profile rows: the decoder reports the last
+   one, as the right fold it once was did.  The messages were taken
+   from the list-fold decoder and are pinned byte for byte. *)
+let test_request_decode_error_precedence () =
+  List.iter
+    (fun (what, s, want) ->
+      match Wire.request_of_string s with
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error e -> Alcotest.(check string) what want (Errors.to_string e))
+    [
+      ( "bad size in block 1, no term in block 3",
+        {|{"id":1,"verb":"align","cfg":{"name":"f","entry":0,"blocks":[{"size":1,"term":{"kind":"goto","to":1}},{"size":"x","term":{"kind":"goto","to":2}},{"size":1,"term":{"kind":"goto","to":3}},{"size":1},{"size":1,"term":{"kind":"exit"}}]},"profile":[[],[],[],[],[]]}|},
+        {|request: missing field "term"|} );
+      ( "unknown kind in block 0, bad target in block 2",
+        {|{"id":2,"verb":"align","cfg":{"name":"g","entry":0,"blocks":[{"size":1,"term":{"kind":"jump","to":1}},{"size":2,"term":{"kind":"goto","to":2}},{"size":1,"term":{"kind":"multiway","targets":[0,"a",3]}},{"size":-4,"term":{"kind":"exit"}}]},"profile":[[],[],[],[]]}|},
+        "request: multiway target is not an integer" );
+      ( "bad entry in row 0, row 2 not a list",
+        {|{"id":3,"verb":"align","cfg":{"name":"h","entry":0,"blocks":[{"size":1,"term":{"kind":"branch","t":1,"f":2}},{"size":1,"term":{"kind":"goto","to":2}},{"size":1,"term":{"kind":"exit"}}]},"profile":[[[1,4],[2]],[[2,4]],5]}|},
+        "request: profile row 2 is not a list" );
+      ( "bad entries in rows 1 and 2",
+        {|{"id":4,"verb":"align","cfg":{"name":"h","entry":0,"blocks":[{"size":1,"term":{"kind":"branch","t":1,"f":2}},{"size":1,"term":{"kind":"goto","to":2}},{"size":1,"term":{"kind":"exit"}}]},"profile":[[[1,4],[2,1]],[[2,"x"]],[[0,1,2],{"d":1}]]}|},
+        "request: profile entry in row 2 is not [dst, count]" );
+      ( "negative size in block 0, no arm in block 1",
+        {|{"id":5,"verb":"align","cfg":{"name":"k","entry":0,"blocks":[{"size":-1,"term":{"kind":"goto","to":1}},{"size":1,"term":{"kind":"branch","t":0}},{"size":1,"term":{"kind":"exit"}}]},"profile":[[],[],[]]}|},
+        {|request: missing field "f"|} );
+      ( "negative size decodes, then fails the block check",
+        {|{"id":6,"verb":"align","cfg":{"name":"k","entry":0,"blocks":[{"size":-1,"term":{"kind":"goto","to":1}},{"size":1,"term":{"kind":"goto","to":2}},{"size":1,"term":{"kind":"exit"}}]},"profile":[[],[],[]]}|},
+        "invalid CFG (k): Block.make: negative size" );
+    ]
+
+(* every bundled procedure under its first data set, and each Scale
+   family at 128 blocks under several profile scales *)
+let bundled_requests =
+  lazy
+    (let procs =
+       List.concat_map
+         (fun (w : Ba_workloads.Workload.t) ->
+           let compiled = Ba_workloads.Workload.compile w in
+           let ds = List.hd (Ba_workloads.Workload.dataset_list w) in
+           let profile =
+             Ba_minic.Compile.profile compiled ~input:ds.Ba_workloads.Workload.input
+           in
+           Array.to_list
+             (Array.mapi
+                (fun fid cfg -> (cfg, Profile.proc profile fid))
+                compiled.Ba_minic.Compile.cfgs))
+         Ba_workloads.Workload_apps.everything
+     in
+     let scale =
+       List.concat_map
+         (fun fam ->
+           List.map
+             (fun invocations ->
+               Ba_workloads.Scale.instance fam ~n:128 ~invocations)
+             [ 1; 500; 4096 ])
+         Ba_workloads.Scale.all
+     in
+     List.mapi
+       (fun id (cfg, profile) ->
+         Wire.Align { id; cfg; profile; options = Wire.default_options })
+       (procs @ scale))
+
+let test_request_round_trip_bundled () =
+  List.iter
+    (fun req ->
+      match Wire.request_of_string (Wire.request_to_string req) with
+      | Ok req' ->
+          if req <> req' then
+            Alcotest.failf "request %d changed in a round trip" (Wire.request_id req)
+      | Error e ->
+          Alcotest.failf "request %d rejected: %s" (Wire.request_id req)
+            (Errors.to_string e))
+    (Lazy.force bundled_requests)
+
 let test_response_round_trip () =
   let payload =
     { Wire.layout = [| 0; 2; 1 |]; cost = 42; cached = true; warm = false;
@@ -476,6 +550,10 @@ let () =
             test_request_decode_errors;
           Alcotest.test_case "max_blocks limit" `Quick
             test_request_decode_errors_limited;
+          Alcotest.test_case "decode error precedence pinned" `Quick
+            test_request_decode_error_precedence;
+          Alcotest.test_case "bundled and Scale requests round-trip" `Quick
+            test_request_round_trip_bundled;
           Alcotest.test_case "response round trip" `Quick test_response_round_trip;
         ] );
       ( "cache",
