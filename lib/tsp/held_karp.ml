@@ -7,9 +7,12 @@
     range of instance classes [12] — including, as the paper shows, the
     symmetrized branch-alignment instances.
 
-    We use the Polyak step rule t = λ·(UB − L)/‖deg − 2‖², halving λ when
-    the bound stagnates, which is scale-free and therefore robust to the
-    large locked-edge weights of {!Sym} instances. *)
+    We use the Polyak step rule t = λ·(UB − L)/‖deg − 2‖², which is
+    scale-free and therefore robust to the large locked-edge weights of
+    {!Sym} instances.  λ halves when the bound stagnates and grows by 2%
+    on every iterate that sets a new best, up to λ0, so a step halved by
+    an early overshoot recovers instead of creeping toward the tour cost
+    for the rest of the ascent. *)
 
 type config = {
   iterations : int;  (** max subgradient iterations *)
@@ -17,7 +20,7 @@ type config = {
   patience : int;  (** iterations without improvement before halving λ *)
 }
 
-let default = { iterations = 20_000; lambda0 = 2.0; patience = 100 }
+let default = { iterations = 20_000; lambda0 = 2.0; patience = 150 }
 
 (** Every quantity the ascent carries in floats — the costs, the
     locked-edge offset, the upper bound and the π-modified weights —
@@ -376,6 +379,10 @@ let rounding_slack ~n ~abs_max ~pimax l =
     +. Float.abs l)
     (-52)
 
+(* λ's growth on every new best, capped at [lambda0]: the recovery
+   that undoes a halving once the ascent is climbing again *)
+let lambda_growth = 1.02
+
 (* The subgradient ascent behind [bound].  [stop l slack] is asked of
    every new best [l], with its [rounding_slack]; [true] ends the ascent
    as proved.  Returns the best [l] and its slack. *)
@@ -403,6 +410,7 @@ let ascend ~config ~stop ~cmax w ~upper_bound =
       best := l;
       best_slack := rounding_slack ~n ~abs_max:cmax ~pimax:!pimax l;
       since_improve := 0;
+      lambda := Float.min config.lambda0 (!lambda *. lambda_growth);
       (* the bound can never exceed the optimum: once it reaches the
          known upper bound it has certified that tour optimal *)
       if stop l !best_slack then begin

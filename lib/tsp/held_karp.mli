@@ -5,7 +5,9 @@
 type config = {
   iterations : int;  (** max subgradient iterations *)
   lambda0 : float;  (** initial step multiplier *)
-  patience : int;  (** iterations without improvement before halving λ *)
+  patience : int;
+      (** iterations without improvement before halving λ; every new best
+          grows λ by 2% again, up to [lambda0] *)
 }
 
 val default : config
