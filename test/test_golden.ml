@@ -12,7 +12,9 @@
     re-price its layouts, and its lines must appear byte for byte in
     [results/spec92.csv] and [results/report.txt]; certifying its TSP
     layout with a computed Held–Karp bound must take a pinned number of
-    ascent iterations. *)
+    ascent iterations; (d) the appendix study's xli.ne/main instance,
+    whose Held–Karp bound proves its tour optimal, must render its
+    [results/appendix.csv] line byte for byte. *)
 
 module Csv = Ba_harness.Csv
 module Runner = Ba_harness.Runner
@@ -285,6 +287,23 @@ let test_dod_sm_ascent () =
   Alcotest.(check int) "held_karp.dense_iterations" 0
     (M.get M.Held_karp_dense_iterations - de0)
 
+(* ---------------- (d) xli.ne/main against appendix.csv ---------------- *)
+
+(* The appendix instance whose bound the ascent's step rule decides: an
+   ascent that stalls short of the proof reads [hk] below [tour]. *)
+let test_committed_xli_ne () =
+  let module H = Ba_harness in
+  let inst =
+    List.find
+      (fun (i : H.Synthetic.instance) -> i.H.Synthetic.name = "xli.ne/main")
+      (H.Synthetic.workload_instances ())
+  in
+  let line = List.nth (Csv.appendix_csv (H.Appendix.study [ inst ])) 1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "appendix.csv has %S" line)
+    true
+    (List.mem line (results "appendix.csv"))
+
 let () =
   Alcotest.run "golden"
     [
@@ -305,5 +324,10 @@ let () =
             test_studies_price_row;
           Alcotest.test_case "Held-Karp ascent pinned" `Quick
             test_dod_sm_ascent;
+        ] );
+      ( "xli.ne",
+        [
+          Alcotest.test_case "committed appendix line" `Quick
+            test_committed_xli_ne;
         ] );
     ]
