@@ -309,12 +309,13 @@ type protocol_kind =
   | Unknown_model
   | Negative_deadline
   | Huge_cfg
+  | Unicode_escapes
 
 let all_protocol =
   [
     Truncated_frame; Garbage_json; Bad_length_header; Oversized_frame;
     Missing_field; Wrong_type; Unknown_verb; Unknown_model; Negative_deadline;
-    Huge_cfg;
+    Huge_cfg; Unicode_escapes;
   ]
 
 let protocol_name = function
@@ -328,6 +329,7 @@ let protocol_name = function
   | Unknown_model -> "unknown-model"
   | Negative_deadline -> "negative-deadline"
   | Huge_cfg -> "huge-cfg"
+  | Unicode_escapes -> "unicode-escapes"
 
 let protocol_expectation = function
   | Truncated_frame | Bad_length_header -> `Ends_stream
@@ -335,6 +337,7 @@ let protocol_expectation = function
   | Unknown_model | Huge_cfg ->
       `Error_response
   | Negative_deadline -> `Ok_response
+  | Unicode_escapes -> `Error_or_ok_response
 
 (** Rewrite one top-level field of a request payload (parse, replace,
     re-emit canonically); falls back to the original payload if it was
@@ -392,6 +395,21 @@ let inject_protocol ?(max_frame_bytes = 4 * 1024 * 1024) ?(max_blocks = 256)
         (rewrite payload (fun fields ->
              ("options", Json.Obj [ ("deadline_ms", Json.Int (-100)) ])
              :: List.filter (fun (k, _) -> k <> "options") fields))
+  | Unicode_escapes ->
+      (* raw escape text, which a canonical re-emission would decode:
+         three-byte characters and a surrogate pair in an extra field
+         (a valid request), the same with a lone surrogate (a parse
+         error), or an escaped verb (an unknown verb) *)
+      let wide = {|"\u0800\u4000\uffff\ud83d\ude00|} in
+      let field, drop =
+        match Random.State.int rng 3 with
+        | 0 -> ({|"note":|} ^ wide ^ {|"|}, "")
+        | 1 -> ({|"note":|} ^ wide ^ {|\ud800"|}, "")
+        | _ -> ({|"verb":"\u4000"|}, "verb")
+      in
+      let rest = rewrite payload (List.filter (fun (k, _) -> k <> drop)) in
+      Wire.encode_frame
+        ("{" ^ field ^ "," ^ String.sub rest 1 (String.length rest - 1))
   | Huge_cfg ->
       let blocks =
         List.init (max_blocks + 1) (fun _ ->

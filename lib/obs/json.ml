@@ -177,6 +177,50 @@ let parse_literal cur lit value =
 
 let peek cur = if cur.pos < String.length cur.src then Some cur.src.[cur.pos] else None
 
+(* One [\u] escape, [cur] just past its [u]: four hex digits, or a
+   surrogate pair written as two escapes, added to [b] as UTF-8 (one to
+   four bytes).  A short or non-hex escape and a lone surrogate fail at
+   the first escape's digits. *)
+let parse_u_escape cur b =
+  let src = cur.src and start = cur.pos in
+  let bad () =
+    cur.pos <- start;
+    fail cur "bad \\u escape"
+  in
+  let hex4 () =
+    if cur.pos + 4 > String.length src then bad ();
+    let code = ref 0 in
+    for i = cur.pos to cur.pos + 3 do
+      let d =
+        match src.[i] with
+        | '0' .. '9' as c -> Char.code c - 48
+        | 'a' .. 'f' as c -> Char.code c - 87
+        | 'A' .. 'F' as c -> Char.code c - 55
+        | _ -> bad ()
+      in
+      code := (!code lsl 4) lor d
+    done;
+    cur.pos <- cur.pos + 4;
+    !code
+  in
+  let code = hex4 () in
+  let code =
+    if code land 0xfc00 = 0xdc00 then bad ()
+    else if code land 0xfc00 <> 0xd800 then code
+    else if
+      cur.pos + 2 <= String.length src
+      && src.[cur.pos] = '\\'
+      && src.[cur.pos + 1] = 'u'
+    then begin
+      cur.pos <- cur.pos + 2;
+      let low = hex4 () in
+      if low land 0xfc00 <> 0xdc00 then bad ();
+      0x10000 + ((code land 0x3ff) lsl 10) + (low land 0x3ff)
+    end
+    else bad ()
+  in
+  Buffer.add_utf_8_uchar b (Uchar.of_int code)
+
 let parse_string_body cur =
   expect cur '"';
   let b = Buffer.create 16 in
@@ -197,19 +241,7 @@ let parse_string_body cur =
         | Some 'f' -> advance cur; Buffer.add_char b '\012'; loop ()
         | Some 'u' ->
             advance cur;
-            if cur.pos + 4 > String.length cur.src then fail cur "bad \\u escape";
-            let hex = String.sub cur.src cur.pos 4 in
-            let code =
-              try int_of_string ("0x" ^ hex)
-              with _ -> fail cur "bad \\u escape"
-            in
-            cur.pos <- cur.pos + 4;
-            (* decode as UTF-8; the emitter only produces < 0x20 *)
-            if code < 0x80 then Buffer.add_char b (Char.chr code)
-            else begin
-              Buffer.add_char b (Char.chr (0xc0 lor (code lsr 6)));
-              Buffer.add_char b (Char.chr (0x80 lor (code land 0x3f)))
-            end;
+            parse_u_escape cur b;
             loop ()
         | _ -> fail cur "bad escape")
     | Some c ->

@@ -6,11 +6,13 @@
     paths for escape-free strings and plain integers ([-?[0-9]{1,18}]);
     escapes, floats, longer numbers and malformed input take the
     original byte-at-a-time readers.  It returns the same tree and the
-    same ["at byte N: ..."] error string as those readers alone, and
-    raises where they raise: a [\u] escape at or above [0x4000] fails
-    in [Char.chr] with [Invalid_argument], a known fault kept as it is.
-    The emitter writes the same bytes as the original closure-walking
-    one.  [test/test_json.ml] checks all three against
+    same ["at byte N: ..."] error string as those readers alone.  A
+    [\u] escape takes exactly four hex digits and decodes to one to
+    three bytes of UTF-8; a surrogate pair written as two escapes
+    decodes to four.  A lone surrogate or a malformed escape is the
+    error ["bad \u escape"] at the first escape's digits, never an
+    exception.  The emitter writes the same bytes as the original
+    closure-walking one.  [test/test_json.ml] checks all three against
     the originals, kept as an oracle in [test/util/json_oracle.ml].
 
     {b Re-entrancy.}  The module holds no mutable state at module level:

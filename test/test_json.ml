@@ -15,8 +15,8 @@ module Profile = Ba_profile.Profile
 module Workload = Ba_workloads.Workload
 module Errors = Ba_robust.Errors
 
-(* an exception is an outcome too: the oracle raises [Invalid_argument]
-   on a \u escape at or above 0x4000, and so must the parser *)
+(* an exception is an outcome too: should either codec raise, the other
+   must raise the same *)
 let outcome f x = match f x with v -> Ok v | exception e -> Error (Printexc.to_string e)
 
 let show = function
@@ -51,7 +51,10 @@ let edge_cases =
     "-"; "--1"; "1-2"; "1+"; "+1"; "[1-2]"; "[-]"; "{\"a\":-}";
     "\"\\u00e9\""; "\"\\u0000\""; "\"\\u001f\""; "\"\\u07ff\""; "\"\\u0800\"";
     "\"\\u3fff\""; "\"\\u4000\""; "\"\\uffff\""; "\"\\u12\""; "\"\\u12g4\"";
-    "\"\\u_123\""; "\"\\u1_23\""; "\"\\q\""; "\"\\"; "\"a\\\"b\\\\c\\/d\"";
+    "\"\\u_123\""; "\"\\u1_23\""; "\"\\u+123\""; "\"\\ud83d\\ude00\"";
+    "\"\\uD83D\\uDE00x\""; "\"\\udbff\\udfff\""; "\"\\ud800\"";
+    "\"\\udc00\""; "\"\\ud800\\u0041\""; "\"\\ud800\\ud800\"";
+    "\"\\ud800\\"; "\"\\ud800\\u12\""; "\"\\q\""; "\"\\"; "\"a\\\"b\\\\c\\/d\"";
     "\"\\b\\f\\n\\r\\t\""; "\"\x01raw\ncontrol\""; "\"abc"; "\""; "\"\\u";
     "[1] x"; "[1]   "; "  null  "; "null"; "nul"; "nullx"; "true"; "tru";
     "false"; "fals"; "[1,]"; "[,1]"; "[1 2]"; "[1,,2]"; "["; "]"; "[ ]";
@@ -72,6 +75,15 @@ let test_edge_values () =
   ok "-4611686018427387904" (Json.Int min_int);
   ok "1e5" (Json.Float 1e5);
   ok "\"\\u00e9\"" (Json.String "\xc3\xa9");
+  ok "\"\\u07ff\"" (Json.String "\xdf\xbf");
+  ok "\"\\u0800\"" (Json.String "\xe0\xa0\x80");
+  ok "\"\\u4000\"" (Json.String "\xe4\x80\x80");
+  ok "\"\\uffff\"" (Json.String "\xef\xbf\xbf");
+  ok "\"\\ud83d\\ude00\"" (Json.String "\xf0\x9f\x98\x80");
+  err "\"\\ud800\"" "at byte 3: bad \\u escape";
+  err "\"\\ude00\"" "at byte 3: bad \\u escape";
+  err "\"\\ud800\\u0041\"" "at byte 3: bad \\u escape";
+  err "\"\\u1_23\"" "at byte 3: bad \\u escape";
   err "-" "at byte 1: bad number -";
   err "1-2" "at byte 3: bad number 1-2";
   err "4611686018427387904" "at byte 19: bad number 4611686018427387904";

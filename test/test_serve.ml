@@ -434,7 +434,7 @@ let test_server_survives_fault_storm () =
     (fun k ->
       match Ba_harness.Faults.protocol_expectation k with
       | `Ends_stream -> ()
-      | `Error_response | `Ok_response -> (
+      | `Error_response | `Ok_response | `Error_or_ok_response -> (
           Driver.send_raw t
             (Ba_harness.Faults.inject_protocol ~max_frame_bytes:(4 * 1024 * 1024)
                ~max_blocks:10_000 ~seed:1 k payload);
@@ -444,6 +444,28 @@ let test_server_survives_fault_storm () =
     Ba_harness.Faults.all_protocol;
   Driver.send t (align_req ~id:10 cfg profile);
   ignore (recv_ok t "after the storm");
+  stop_clean t "eof" [ Server.Clean_eof ]
+
+(* every variant of the unicode-escapes fault, over a run of seeds:
+   each is answered, ok or a typed error (both occur), and the server
+   then serves a valid request *)
+let test_server_unicode_escapes () =
+  let module Faults = Ba_harness.Faults in
+  let cfg, profile = subject 7 in
+  let t = Driver.start () in
+  let payload = Wire.request_to_string (align_req ~id:5 cfg profile) in
+  let oks = ref 0 and errors = ref 0 in
+  for seed = 0 to 11 do
+    Driver.send_raw t (Faults.inject_protocol ~seed Faults.Unicode_escapes payload);
+    match Driver.recv_response t with
+    | Some (Ok (Wire.C_ok _)) -> incr oks
+    | Some (Ok (Wire.C_error _)) -> incr errors
+    | _ -> Alcotest.failf "seed %d: no response" seed
+  done;
+  Alcotest.(check bool) "some variant is a valid request" true (!oks > 0);
+  Alcotest.(check bool) "some variant is a typed error" true (!errors > 0);
+  Driver.send t (align_req ~id:6 cfg profile);
+  ignore (recv_ok t "after the escapes");
   stop_clean t "eof" [ Server.Clean_eof ]
 
 let test_server_shutdown_verb () =
@@ -581,5 +603,7 @@ let () =
             test_server_deadline_extremes;
           Alcotest.test_case "poisoned cache entry rejected" `Quick
             test_server_poisoned_cache_rejected;
+          Alcotest.test_case "unicode escapes answered" `Quick
+            test_server_unicode_escapes;
         ] );
     ]

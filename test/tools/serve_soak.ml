@@ -107,17 +107,27 @@ let certified cfg profile order =
   | Ok _ -> true
   | Error _ -> false
 
+(** Count an ok response, re-certifying its layout. *)
+let check_ok ~what (s : subject) profile (payload : Wire.ok_payload) =
+  counts.ok <- counts.ok + 1;
+  if payload.Wire.cached then counts.cache_hits <- counts.cache_hits + 1;
+  if payload.Wire.warm then counts.warm_starts <- counts.warm_starts + 1;
+  if not (certified s.cfg profile payload.Wire.layout) then begin
+    counts.uncertified <- counts.uncertified + 1;
+    Printf.eprintf "serve_soak: UNCERTIFIED layout for %s (%s)\n%!"
+      s.cfg.Ba_cfg.Cfg.name what
+  end
+
+(** Count a typed error response, which must carry a documented code. *)
+let check_error ~what (error : Wire.client_error) =
+  counts.errors <- counts.errors + 1;
+  if error.Wire.eexit < 2 || error.Wire.eexit > 10 then
+    die "%s: undocumented exit code %d" what error.Wire.eexit
+
 let expect_ok ~what t (s : subject) profile =
   match Driver.recv_response t with
   | Some (Ok (Wire.C_ok { payload; _ })) ->
-      counts.ok <- counts.ok + 1;
-      if payload.Wire.cached then counts.cache_hits <- counts.cache_hits + 1;
-      if payload.Wire.warm then counts.warm_starts <- counts.warm_starts + 1;
-      if not (certified s.cfg profile payload.Wire.layout) then begin
-        counts.uncertified <- counts.uncertified + 1;
-        Printf.eprintf "serve_soak: UNCERTIFIED layout for %s (%s)\n%!"
-          s.cfg.Ba_cfg.Cfg.name what
-      end;
+      check_ok ~what s profile payload;
       Some payload
   | Some (Ok (Wire.C_error { error; _ })) ->
       die "%s: expected ok, got error %s (%s)" what error.Wire.eclass
@@ -126,12 +136,18 @@ let expect_ok ~what t (s : subject) profile =
   | Some (Error m) -> die "%s: undecodable response: %s" what m
   | None -> die "%s: stream ended instead of a response" what
 
+(** An ok layout or a typed error, whichever comes. *)
+let expect_either ~what t (s : subject) profile =
+  match Driver.recv_response t with
+  | Some (Ok (Wire.C_ok { payload; _ })) -> check_ok ~what s profile payload
+  | Some (Ok (Wire.C_error { error; _ })) -> check_error ~what error
+  | Some (Ok _) -> die "%s: expected ok or an error, got a different status" what
+  | Some (Error m) -> die "%s: undecodable response: %s" what m
+  | None -> die "%s: stream ended instead of a response" what
+
 let expect_error ~what t =
   match Driver.recv_response t with
-  | Some (Ok (Wire.C_error { error; _ })) ->
-      counts.errors <- counts.errors + 1;
-      if error.Wire.eexit < 2 || error.Wire.eexit > 10 then
-        die "%s: undocumented exit code %d" what error.Wire.eexit
+  | Some (Ok (Wire.C_error { error; _ })) -> check_error ~what error
   | Some (Ok (Wire.C_ok _)) -> die "%s: expected a typed error, got ok" what
   | Some (Ok _) -> die "%s: expected a typed error, got a different status" what
   | Some (Error m) -> die "%s: undecodable response: %s" what m
@@ -249,6 +265,8 @@ let () =
       match Faults.protocol_expectation k with
       | `Error_response -> expect_error ~what:(Faults.protocol_name k) !t
       | `Ok_response -> ignore (expect_ok ~what:(Faults.protocol_name k) !t s s.profiles.(0))
+      | `Error_or_ok_response ->
+          expect_either ~what:(Faults.protocol_name k) !t s s.profiles.(0)
       | `Ends_stream -> assert false
     end
     else begin
