@@ -478,14 +478,10 @@ let profile_cmd =
 (* ---------------- align ---------------- *)
 
 let method_conv : Ba_align.Driver.method_ Arg.conv =
-  let parse = function
-    | "original" -> Ok Ba_align.Driver.Original
-    | "greedy" -> Ok Ba_align.Driver.Greedy
-    | "calder" -> Ok Ba_align.Driver.Calder
-    | "calder-exhaustive" -> Ok Ba_align.Driver.Calder_exhaustive
-    | "btfnt" -> Ok Ba_align.Driver.Btfnt
-    | "tsp" -> Ok (Ba_align.Driver.Tsp Ba_align.Tsp_align.default)
-    | s -> Error (`Msg (Printf.sprintf "unknown method %s" s))
+  let parse s =
+    match Ba_align.Driver.method_of_string s with
+    | Some m -> Ok m
+    | None -> Error (`Msg (Printf.sprintf "unknown method %s" s))
   in
   Arg.conv (parse, fun ppf m -> Fmt.string ppf (Ba_align.Driver.method_name m))
 

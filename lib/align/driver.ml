@@ -43,6 +43,15 @@ let method_name = function
   | Btfnt -> "btfnt"
   | Tsp _ -> "tsp"
 
+let method_of_string = function
+  | "original" -> Some Original
+  | "greedy" -> Some Greedy
+  | "calder" -> Some Calder
+  | "calder-exhaustive" -> Some Calder_exhaustive
+  | "btfnt" -> Some Btfnt
+  | "tsp" -> Some (Tsp Tsp_align.default)
+  | _ -> None
+
 (** The pipeline seed tasks derive their RNGs from: the solver seed for
     TSP runs (the only randomized method), 0 otherwise. *)
 let method_seed = function

@@ -26,6 +26,10 @@ type method_ =
 
 val method_name : method_ -> string
 
+(** The inverse of {!method_name}; ["tsp"] is [Tsp Tsp_align.default].
+    [None] on an unknown name. *)
+val method_of_string : string -> method_ option
+
 (** The pipeline seed per-task RNGs are derived from (the solver seed
     for TSP, 0 for the deterministic methods). *)
 val method_seed : method_ -> int

@@ -16,7 +16,7 @@ type error =
   | Bound_exceeds_cost of { bound : int; cost : int }
   | Bound_unavailable of string
       (** [Compute] could not bound the instance exactly (magnitudes at
-          or above 2⁵², see {!Ba_tsp.Held_karp.bound}) *)
+          or above 2⁵², see {!Ba_tsp.Held_karp.directed_bound}) *)
   | Unfaithful of string
 
 val pp_error : Format.formatter -> error -> unit

@@ -234,11 +234,15 @@ type latency_summary = {
 }
 
 (** [percentile_ms q] walks the histogram for the [q]-quantile bucket
-    (0 when nothing was observed). *)
+    (0 when nothing was observed) and returns its geometric midpoint,
+    clamped to the observed maximum.  The highest non-empty bucket
+    holds that maximum, so a quantile that lands there is the maximum
+    itself: one observation reads the same at every quantile. *)
 let percentile_ms q =
   let n = Atomic.get lat_count in
   if n = 0 then 0.
   else begin
+    let max_ms = float_of_int (Atomic.get lat_max_micro) /. 1000. in
     let target = Float.max 1. (Float.of_int n *. q) in
     let acc = ref 0 and found = ref (lat_buckets - 1) and i = ref 0 in
     (* Stdlib.incr: this module shadows [incr] with the counter API *)
@@ -247,7 +251,12 @@ let percentile_ms q =
       if float_of_int !acc >= target then found := !i;
       i := !i + 1
     done;
-    lat_bucket_mid_ms !found
+    let top = ref (lat_buckets - 1) in
+    while !top > 0 && Atomic.get lat_hist.(!top) = 0 do
+      top := !top - 1
+    done;
+    if !found >= !top then max_ms
+    else Float.min max_ms (lat_bucket_mid_ms !found)
   end
 
 let latency () =

@@ -452,13 +452,10 @@ let options_of_json = function
         | None -> Ok default_options.method_
         | Some m -> (
             match Json.to_str m with
-            | Some "original" -> Ok Ba_align.Driver.Original
-            | Some "greedy" -> Ok Ba_align.Driver.Greedy
-            | Some "calder" -> Ok Ba_align.Driver.Calder
-            | Some "calder-exhaustive" -> Ok Ba_align.Driver.Calder_exhaustive
-            | Some "btfnt" -> Ok Ba_align.Driver.Btfnt
-            | Some "tsp" -> Ok (Ba_align.Driver.Tsp Ba_align.Tsp_align.default)
-            | Some s -> Error (Errors.Usage (Printf.sprintf "unknown method %S" s))
+            | Some s -> (
+                match Ba_align.Driver.method_of_string s with
+                | Some m -> Ok m
+                | None -> Error (Errors.Usage (Printf.sprintf "unknown method %S" s)))
             | None -> perr "method is not a string")
       in
       let* model =

@@ -48,29 +48,16 @@ type pairs = {
 type work = {
   n : int;
   fc : float array;  (** the flat cost matrix, as floats *)
-  pairs : pairs option;  (** [Some] for matrices built from a {!Sym.t} *)
+  pairs : pairs;  (** the instance's shape, for the pair-step premises *)
   deg : int array;
   rest : int array;  (** cities (pair step: directed cities) not yet in the tree, ascending *)
   best : float array;
   parent : int array;
 }
 
-let work_of ~n ?pairs fc =
-  {
-    n;
-    fc;
-    pairs;
-    deg = Array.make n 0;
-    rest = Array.make n 0;
-    best = Array.make n infinity;
-    parent = Array.make n (-1);
-  }
-
-let work ~n (cost : int array) = work_of ~n (Array.map float_of_int cost)
-
 (* The float matrix of a {!Sym} instance, built from the directed rows
    without an int copy, and its [pairs] shape.  Every entry goes
-   through [check_exact], as [bound] checks a raw matrix. *)
+   through [check_exact]. *)
 let sym_work (s : Sym.t) =
   let nn = s.Sym.nn and n = s.Sym.n_cities in
   check_exact "cost" s.Sym.inf;
@@ -108,7 +95,16 @@ let sym_work (s : Sym.t) =
       abs_max = float_of_int abs_max;
     }
   in
-  (work_of ~n:nn ~pairs fc, abs_max)
+  ( {
+      n = nn;
+      fc;
+      pairs;
+      deg = Array.make nn 0;
+      rest = Array.make nn 0;
+      best = Array.make nn infinity;
+      parent = Array.make nn (-1);
+    },
+    abs_max )
 
 (* The 1-tree's last two edges: the two cheapest at city 0, added to
    the tree's [weight] in that order. *)
@@ -326,28 +322,12 @@ let fill_pair_step w (pi : float array) =
   done;
   close_at_city0 w pi !weight
 
-(** [one_tree ~n cost pi] computes a minimum 1-tree under π-modified
-    weights: a minimum spanning tree over cities 1..n−1 (Prim, O(n²))
-    plus the two cheapest edges incident to city 0.  [cost] is a flat
-    row-major n×n matrix.  Returns the modified weight and the degree of
-    every node. *)
-let one_tree ~n (cost : int array) (pi : float array) =
-  if n < 3 then invalid_arg "Held_karp.one_tree: need at least 3 cities";
-  if Array.length cost <> n * n || Array.length pi <> n then
-    invalid_arg "Held_karp.one_tree: cost must be n×n and π of length n";
-  let w = work ~n cost in
-  let weight = fill_one_tree w pi in
-  (weight, w.deg)
-
-(* One iteration's 1-tree: the pair step when [w] came from a {!Sym}
-   and its premises hold at π, else the dense Prim.  Returns the weight
-   and whether the dense Prim ran in place of the pair step. *)
+(* One iteration's 1-tree: the pair step when its premises hold at π,
+   else the dense Prim.  Returns the weight and whether the dense Prim
+   ran in place of the pair step. *)
 let fill w (pi : float array) =
-  match w.pairs with
-  | None -> (fill_one_tree w pi, false)
-  | Some p ->
-      if pairs_hold p ~n:w.n pi then (fill_pair_step w pi, false)
-      else (fill_one_tree w pi, true)
+  if pairs_hold w.pairs ~n:w.n pi then (fill_pair_step w pi, false)
+  else (fill_one_tree w pi, true)
 
 (** [sym_one_tree s pi] is the minimum 1-tree of the symmetrized
     instance [s] under π, computed the way [directed_bound]'s ascent
@@ -383,9 +363,9 @@ let rounding_slack ~n ~abs_max ~pimax l =
    that undoes a halving once the ascent is climbing again *)
 let lambda_growth = 1.02
 
-(* The subgradient ascent behind [bound].  [stop l slack] is asked of
-   every new best [l], with its [rounding_slack]; [true] ends the ascent
-   as proved.  Returns the best [l] and its slack. *)
+(* The subgradient ascent behind [directed_bound].  [stop l slack] is
+   asked of every new best [l], with its [rounding_slack]; [true] ends
+   the ascent as proved.  Returns the best [l] and its slack. *)
 let ascend ~config ~stop ~cmax w ~upper_bound =
   let n = w.n in
   let cmax = float_of_int cmax in
@@ -458,31 +438,6 @@ let ascend ~config ~stop ~cmax w ~upper_bound =
   Ba_obs.Metrics.(incr ~n:!dense Held_karp_dense_iterations);
   if !proved then Ba_obs.Metrics.(incr Held_karp_proved);
   (!best, !best_slack)
-
-(** [bound ?config cost ~upper_bound] is the Held–Karp lower bound for the
-    symmetric instance [cost], as a float.  [upper_bound] is the cost of
-    any known tour (used only to scale subgradient steps; a loose value
-    merely slows convergence).  For [n < 3] the bound is the exact forced
-    tour cost. *)
-let bound ?(config = default) ~n (cost : int array) ~upper_bound : float =
-  if n < 2 then invalid_arg "Held_karp.bound: need at least 2 cities";
-  if Array.length cost <> n * n then invalid_arg "Held_karp.bound: not n×n";
-  let cmax =
-    Array.fold_left
-      (fun m c ->
-        check_exact "cost" c;
-        max m (abs c))
-      0 cost
-  in
-  check_exact "upper bound" upper_bound;
-  if n = 2 then float_of_int (2 * cost.(1))
-  else if n = 3 then
-    float_of_int (cost.(1) + cost.(n + 2) + cost.(2 * n))
-  else
-    fst
-      (ascend ~config
-         ~stop:(fun _ _ -> false)
-         ~cmax (work ~n cost) ~upper_bound)
 
 (** [directed_bound ?config d ~upper_bound] is an integer Held–Karp lower
     bound on the optimal directed tour of [d]: the bound of the

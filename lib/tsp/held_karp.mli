@@ -12,13 +12,6 @@ type config = {
 
 val default : config
 
-(** Minimum 1-tree under π-modified weights: MST over cities 1..n−1 plus
-    the two cheapest edges at city 0; the cost matrix is flat row-major
-    n×n.  Runs the dense O(n²) Prim, as {!bound} does for any raw
-    matrix.  Returns (modified weight, degrees).
-    @raise Invalid_argument if [n < 3] or the sizes are wrong. *)
-val one_tree : n:int -> int array -> float array -> float * int array
-
 (** The 1-tree of the symmetrized instance under π, as {!directed_bound}'s
     ascent computes it.  When π passes two O(n) premises it takes the
     {e pair step}: each Prim step adds a city and its locked partner and
@@ -37,23 +30,12 @@ val one_tree : n:int -> int array -> float array -> float * int array
     is not one entry per symmetric city, or a cost reaches 2⁵². *)
 val sym_one_tree : Sym.t -> float array -> float * int array
 
-(** Held–Karp bound for a symmetric instance given as a flat row-major
-    n×n matrix, as a float.  [upper_bound] is any known tour cost
-    (scales the steps; reaching it certifies optimality and stops
-    early).
-
-    The ascent runs in doubles, which resolve every integer only below
-    2⁵².  Costs, [upper_bound] and the π-modified weights must stay
-    below that magnitude.
-    @raise Invalid_argument if [n < 2], the size is wrong, or a cost,
-    [upper_bound] or a π-modified weight reaches 2⁵² in magnitude. *)
-val bound : ?config:config -> n:int -> int array -> upper_bound:int -> float
-
 (** Integer Held–Karp lower bound on the optimal directed tour: bound of
     the symmetrized instance, shifted back and rounded up after
     subtracting a bound on the iterate's float error, derived from the
-    city count and the largest weight magnitude.  The ascent
-    stops as soon as the rounded bound reaches [upper_bound] (the
+    city count and the largest weight magnitude.  The ascent runs in
+    doubles, which resolve every integer only below 2⁵², so every
+    quantity it carries must stay below that magnitude.  It stops as soon as the rounded bound reaches [upper_bound] (the
     integral proof that the known tour is optimal); the result is the
     one the full ascent would round to.  Its 1-trees are those of
     {!sym_one_tree}: the pair step wherever its premises hold, which
@@ -64,5 +46,5 @@ val bound : ?config:config -> n:int -> int array -> upper_bound:int -> float
     proof, one to [held_karp.proved].
     @raise Invalid_argument if the symmetrized costs, the locked-edge
     offset, [upper_bound] or a π-modified weight reaches 2⁵² in
-    magnitude (see {!bound}); the bound would no longer be exact. *)
+    magnitude; the bound would no longer be exact. *)
 val directed_bound : ?config:config -> Dtsp.t -> upper_bound:int -> int

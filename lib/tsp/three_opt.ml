@@ -15,7 +15,11 @@
     moves) — every search decision is made from absolute positions,
     which both representations report identically, so the trajectory
     is representation-independent (pinned by the differential
-    property suite).
+    property suite).  Every move is a short sequence of range
+    reversals on it: a 2-opt move is one, a pure 3-opt reconnection
+    two or three ([reconnect_reversals], the segment algebra of
+    DESIGN.md §6), and all of them go through [apply_reversal], the
+    one place that reverses the tour and journals the reversal.
 
     The pure 3-opt pair scan is pruned by an exact gain bound (see
     [try_city]): a reconnection's gain is its bound minus the cost of
@@ -40,10 +44,9 @@
     [cost] is O(1).  Between [mark] and [commit]/[rollback] every tour
     mutation is journaled as the range reversals (and rotations) that
     realize it; [rollback] replays the journal backwards — each
-    reversal is its own inverse, and the flat reconnection writes are
-    byte-identical to the reversal sequence — restoring the exact
-    absolute positions on either representation in O(moves) reversals
-    instead of an O(n) [set_tour]. *)
+    reversal is its own inverse — restoring the exact absolute
+    positions on either representation in O(moves) reversals instead
+    of an O(n) [set_tour]. *)
 
 (* y-side scratch of the 3-opt candidate scan: for each candidate y
    of the removed edge's head b, the quantities that do not depend on
@@ -203,6 +206,13 @@ let rollback st =
   st.dcost <- st.mark_cost;
   st.version <- st.version + 1
 
+(** Reverse the cyclic position range [l..r] and journal it while a
+    mark is open: the only way a move or kick reverses the tour.  Cost,
+    [version] and move counts are the caller's. *)
+let apply_reversal st l r =
+  Tour_repr.reverse st.repr l r;
+  record st l r
+
 (** [reverse st l r] reverses the cyclic position range [l..r]
     (journaled), updating the cost from the two edges it changes. *)
 let reverse st l r =
@@ -214,8 +224,7 @@ let reverse st l r =
     let a = pred st b and e = succ st c in
     st.dcost <- st.dcost + d st a c + d st b e - d st a b - d st c e
   end;
-  Tour_repr.reverse st.repr l r;
-  record st l r;
+  apply_reversal st l r;
   st.version <- st.version + 1
 
 (** [shift st k] moves every city [k] positions back along the tour
@@ -248,20 +257,44 @@ let apply_2opt st ~pa ~px ~gain =
   let l, r =
     if len_fwd <= n - len_fwd then ((pa + 1) mod n, px) else ((px + 1) mod n, pa)
   in
-  Tour_repr.reverse st.repr l r;
-  record st l r;
+  apply_reversal st l r;
   st.dcost <- st.dcost - gain;
   st.moves_2opt <- st.moves_2opt + 1;
   st.version <- st.version + 1
 
-type reconnection = Tour_repr.reconnection = T3 | T4 | T5 | T6
+(** The four pure-3-opt reconnection types (DESIGN.md §6): with cuts
+    after positions [pi], [pi+jj], [pi+kk], segment 1 = offsets
+    [1..jj] from [pi] and segment 2 = offsets [jj+1..kk], the window
+    becomes T3 = [rev s1, rev s2], T4 = [s2, s1], T5 = [s2, rev s1],
+    T6 = [rev s2, s1]. *)
+type reconnection = T3 | T4 | T5 | T6
+
+(** [reconnect_reversals ~n ~pi ~jj ~kk ty f] calls [f l r] for each
+    position-range reversal of the sequence that realizes the
+    reconnection, in order.  Each stays inside the window, so
+    positions outside it keep their cities. *)
+let reconnect_reversals ~n ~pi ~jj ~kk ty f =
+  let pj = (pi + jj) mod n and pk = (pi + kk) mod n in
+  let p1 = (pi + 1) mod n and pj1 = (pj + 1) mod n in
+  match ty with
+  | T3 ->
+      f p1 pj;
+      f pj1 pk
+  | T4 ->
+      f p1 pj;
+      f pj1 pk;
+      f p1 pk
+  | T5 ->
+      f pj1 pk;
+      f p1 pk
+  | T6 ->
+      f p1 pj;
+      f p1 pk
 
 (** Apply a pure 3-opt reconnection with cuts after positions [pi],
-    [pi+jj], [pi+kk] (see DESIGN.md §6 for the segment algebra). *)
+    [pi+jj], [pi+kk]. *)
 let apply_3opt st ~pi ~jj ~kk ~gain ty =
-  Tour_repr.reconnect st.repr ~pi ~jj ~kk ty;
-  if st.marked then
-    Tour_repr.reconnect_reversals ~n:(nn st) ~pi ~jj ~kk ty (record st);
+  reconnect_reversals ~n:(nn st) ~pi ~jj ~kk ty (apply_reversal st);
   st.dcost <- st.dcost - gain;
   st.moves_3opt <- st.moves_3opt + 1;
   st.version <- st.version + 1

@@ -6,7 +6,8 @@
     The tour lives behind {!Tour_repr} (flat arrays or the two-level
     √n-segment structure); every search decision is position-based and
     both representations preserve absolute positions exactly, so the
-    trajectory is representation-independent.
+    trajectory is representation-independent.  Every move is a
+    sequence of range reversals ({!reconnect_reversals} for 3-opt).
 
     Don't-look bits are trajectory-exact version stamps: a popped
     city's scan is skipped only when the tour is bit-identical to the
@@ -84,6 +85,22 @@ val reverse : state -> int -> int -> unit
     (journaled); the cycle and its cost are unchanged.  O(1) on the
     two-level tour. *)
 val shift : state -> int -> unit
+
+(** The four pure-3-opt reconnection types (DESIGN.md §6): with cuts
+    after positions [pi], [pi+jj], [pi+kk], segment 1 = offsets
+    [1..jj] from [pi] and segment 2 = offsets [jj+1..kk], the window
+    becomes T3 = [rev s1, rev s2], T4 = [s2, s1], T5 = [s2, rev s1],
+    T6 = [rev s2, s1]. *)
+type reconnection = T3 | T4 | T5 | T6
+
+(** [reconnect_reversals ~n ~pi ~jj ~kk ty f] calls [f l r] for each
+    range reversal of the sequence that realizes the reconnection on
+    an [n]-city tour, in order (1 ≤ jj < kk ≤ n − 1).  The search
+    applies a move as exactly this sequence, so replaying it backwards
+    undoes the move. *)
+val reconnect_reversals :
+  n:int -> pi:int -> jj:int -> kk:int -> reconnection -> (int -> int -> unit) ->
+  unit
 
 (** Mark a city for (re-)examination. *)
 val activate : state -> int -> unit

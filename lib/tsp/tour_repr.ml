@@ -20,15 +20,9 @@
     trajectory is representation-independent the threshold is purely a
     performance choice (DESIGN.md §6).
 
-    The four pure-3-opt reconnections are a composite operation
-    ([reconnect]) rather than raw reversal sequences so each
-    representation can realize them optimally.  The flat code writes
-    the final segment arrangement directly through a scratch buffer
-    sized by the {e shorter} segment — the same shorter-side length
-    check the 2-opt path already had, fixing the latent O(n) triple
-    reversal — and is byte-identical to the reversal sequences it
-    replaces (the final window contents are determined by the
-    reconnection type alone). *)
+    The representation knows two mutations: a range reversal and a
+    rotation.  Every 3-Opt move, kick and rollback is a sequence of
+    reversals (and kick rotations) composed by {!Three_opt}. *)
 
 type kind = Auto | Array | Two_level
 
@@ -44,7 +38,6 @@ let kind_name = function
 type flat = {
   ftour : int array;  (** position → city *)
   fpos : int array;  (** city → position *)
-  mutable scratch : int array;  (** reconnection buffer, grown on demand *)
 }
 
 type t = F of flat | T of Two_level.t
@@ -65,7 +58,7 @@ let make kind ~n_cities tour =
     let n = Stdlib.Array.length tour in
     let fpos = Stdlib.Array.make n (-1) in
     Stdlib.Array.iteri (fun i c -> fpos.(c) <- i) tour;
-    F { ftour = Stdlib.Array.copy tour; fpos; scratch = [||] }
+    F { ftour = Stdlib.Array.copy tour; fpos }
   end
 
 let kind_of = function F _ -> Array | T _ -> Two_level
@@ -128,150 +121,20 @@ let flat_reverse f l r =
 let reverse r l r' =
   match r with F f -> flat_reverse f l r' | T t -> Two_level.reverse t l r'
 
-type reconnection = T3 | T4 | T5 | T6
-
-let flat_scratch f len =
-  if Stdlib.Array.length f.scratch < len then
-    f.scratch <- Stdlib.Array.make len 0;
-  f.scratch
-
-(** Apply a pure 3-opt reconnection with cuts after positions [pi],
-    [pi+jj], [pi+kk] on the flat arrays.  With segment 1 = offsets
-    [1..jj] and segment 2 = offsets [jj+1..kk] from [pi], the final
-    window contents are T3 = [rev s1, rev s2], T4 = [s2, s1], T5 =
-    [s2, rev s1], T6 = [rev s2, s1]; they are written directly,
-    buffering only the shorter segment, instead of composing up to
-    three O(window) reversals — byte-identical, up to ~3× fewer
-    writes. *)
-let flat_reconnect f ~pi ~jj ~kk ty =
-  let n = Stdlib.Array.length f.ftour in
-  let cell off = (pi + off) mod n in
-  let get off = f.ftour.(cell off) in
-  let set off c =
-    let p = cell off in
-    f.ftour.(p) <- c;
-    f.fpos.(c) <- p
-  in
-  let l1 = jj and l2 = kk - jj in
-  let p1 = (pi + 1) mod n in
-  let pj = (pi + jj) mod n in
-  let pj1 = (pj + 1) mod n in
-  let pk = (pi + kk) mod n in
-  match ty with
-  | T3 ->
-      (* both reversals are in place and minimal already *)
-      flat_reverse f p1 pj;
-      flat_reverse f pj1 pk
-  | T4 ->
-      if l1 <= l2 then begin
-        let buf = flat_scratch f l1 in
-        for u = 0 to l1 - 1 do
-          buf.(u) <- get (1 + u)
-        done;
-        for u = 0 to l2 - 1 do
-          set (1 + u) (get (jj + 1 + u))
-        done;
-        for u = 0 to l1 - 1 do
-          set (l2 + 1 + u) buf.(u)
-        done
-      end
-      else begin
-        let buf = flat_scratch f l2 in
-        for u = 0 to l2 - 1 do
-          buf.(u) <- get (jj + 1 + u)
-        done;
-        for u = l1 - 1 downto 0 do
-          set (l2 + 1 + u) (get (1 + u))
-        done;
-        for u = 0 to l2 - 1 do
-          set (1 + u) buf.(u)
-        done
-      end
-  | T5 ->
-      if l1 <= l2 then begin
-        let buf = flat_scratch f l1 in
-        for u = 0 to l1 - 1 do
-          buf.(u) <- get (1 + u)
-        done;
-        for u = 0 to l2 - 1 do
-          set (1 + u) (get (jj + 1 + u))
-        done;
-        for u = 0 to l1 - 1 do
-          set (l2 + 1 + u) buf.(l1 - 1 - u)
-        done
-      end
-      else begin
-        (* s2 shorter: the historical two-reversal path already moves
-           only kk + l2 cells, which beats buffering s1 *)
-        flat_reverse f pj1 pk;
-        flat_reverse f p1 pk
-      end
-  | T6 ->
-      if l2 < l1 then begin
-        let buf = flat_scratch f l2 in
-        for u = 0 to l2 - 1 do
-          buf.(u) <- get (jj + 1 + u)
-        done;
-        for u = l1 - 1 downto 0 do
-          set (l2 + 1 + u) (get (1 + u))
-        done;
-        for u = 0 to l2 - 1 do
-          set (1 + u) buf.(l2 - 1 - u)
-        done
-      end
-      else begin
-        flat_reverse f p1 pj;
-        flat_reverse f p1 pk
-      end
-
-(** [reconnect_reversals ~n ~pi ~jj ~kk ty f] calls [f l r] for each
-    position-range reversal of the sequence that realizes the
-    reconnection, in order. *)
-let reconnect_reversals ~n ~pi ~jj ~kk ty f =
-  let pj = (pi + jj) mod n and pk = (pi + kk) mod n in
-  let p1 = (pi + 1) mod n and pj1 = (pj + 1) mod n in
-  match ty with
-  | T3 ->
-      f p1 pj;
-      f pj1 pk
-  | T4 ->
-      f p1 pj;
-      f pj1 pk;
-      f p1 pk
-  | T5 ->
-      f pj1 pk;
-      f p1 pk
-  | T6 ->
-      f p1 pj;
-      f p1 pk
-
-(** Apply a pure 3-opt reconnection with cuts after positions [pi],
-    [pi+jj], [pi+kk] (see DESIGN.md §6 for the segment algebra). *)
-let reconnect r ~pi ~jj ~kk ty =
-  match r with
-  | F f -> flat_reconnect f ~pi ~jj ~kk ty
-  | T t ->
-      (* the reversal sequences act on positions alone, so replaying
-         them reproduces the flat window contents exactly *)
-      reconnect_reversals ~n:(Two_level.n t) ~pi ~jj ~kk ty
-        (Two_level.reverse t)
-
 (** [shift r k] moves every city [k] positions back along the tour
     (position [p] → [p − k] mod n) without changing the cycle: O(1) on
-    the two-level structure (its rotation offset), an O(n) copy on the
-    flat arrays, which only serve small instances. *)
+    the two-level structure (its rotation offset).  On the flat arrays
+    it is the left rotation by [k] as three reversals — each half, then
+    the whole — in O(n), with no buffer; the flat arrays only serve
+    small instances. *)
 let shift r k =
   match r with
   | F f ->
       let n = Stdlib.Array.length f.ftour in
       let k = ((k mod n) + n) mod n in
       if k <> 0 then begin
-        let old = flat_scratch f n in
-        Stdlib.Array.blit f.ftour 0 old 0 n;
-        for p = 0 to n - 1 do
-          let c = old.(if p + k >= n then p + k - n else p + k) in
-          f.ftour.(p) <- c;
-          f.fpos.(c) <- p
-        done
+        flat_reverse f 0 (k - 1);
+        flat_reverse f k (n - 1);
+        flat_reverse f 0 (n - 1)
       end
   | T t -> Two_level.shift t k

@@ -1,13 +1,13 @@
 (** Differential suite for the Held–Karp bound ({!Ba_tsp.Held_karp}).
 
-    The shipped 1-tree is a fused, allocation-free Prim and the shipped
-    [directed_bound] stops once its rounded bound reaches the tour cost.
-    Both are pinned here against test-local copies of the textbook
-    two-pass Prim and the full ascent without that stop: the 1-tree's
-    weight must agree bit for bit and its degrees exactly, and every
-    integer bound must be the one the full ascent rounds to.  The
-    pair-step 1-tree of symmetrized instances is pinned against the same
-    two-pass Prim, on both sides of its premises.  A section covers the
+    The shipped 1-tree of a symmetrized instance is the pair step or,
+    where its premises fail, a fused, allocation-free Prim, and the
+    shipped [directed_bound] stops once its rounded bound reaches the
+    tour cost.  Both are pinned here against test-local copies of the
+    textbook two-pass Prim and the full ascent without that stop: the
+    1-tree's weight must agree bit for bit and its degrees exactly, on
+    both sides of the pair-step premises, and every integer bound must
+    be the one the full ascent rounds to.  A section covers the
     float-exact guard and its certificate failure; the last holds every
     paper-suite ascent to the bound it reached before λ could recover. *)
 
@@ -77,60 +77,55 @@ let oracle_slack ~n (cost : int array) pi l =
     slack] — the point where the shipped ascent must stop. *)
 let oracle_bound ~(config : Held_karp.config) ~proves ~n (cost : int array)
     ~upper_bound =
-  if n = 2 then (float_of_int (2 * cost.(1)), 0.0, 0, None)
-  else if n = 3 then
-    (float_of_int (cost.(1) + cost.(n + 2) + cost.(2 * n)), 0.0, 0, None)
-  else begin
-    let pi = Array.make n 0.0 in
-    let prev_grad = Array.make n 0.0 in
-    let best = ref neg_infinity and best_slack = ref 0.0 in
-    let lambda = ref config.Held_karp.lambda0 in
-    let since_improve = ref 0 in
-    let iter = ref 0 in
-    let proof = ref None in
-    let continue = ref true in
-    while !continue && !iter < config.Held_karp.iterations do
-      incr iter;
-      let weight, deg = oracle_one_tree ~n cost pi in
-      let sum_pi = Array.fold_left ( +. ) 0.0 pi in
-      let l = weight -. (2.0 *. sum_pi) in
-      if l > !best then begin
-        best := l;
-        best_slack := oracle_slack ~n cost pi l;
-        since_improve := 0;
-        lambda := Float.min config.Held_karp.lambda0 (!lambda *. 1.02);
-        if !proof = None && proves l !best_slack then proof := Some !iter;
-        if l >= float_of_int upper_bound -. 1e-9 then continue := false
+  let pi = Array.make n 0.0 in
+  let prev_grad = Array.make n 0.0 in
+  let best = ref neg_infinity and best_slack = ref 0.0 in
+  let lambda = ref config.Held_karp.lambda0 in
+  let since_improve = ref 0 in
+  let iter = ref 0 in
+  let proof = ref None in
+  let continue = ref true in
+  while !continue && !iter < config.Held_karp.iterations do
+    incr iter;
+    let weight, deg = oracle_one_tree ~n cost pi in
+    let sum_pi = Array.fold_left ( +. ) 0.0 pi in
+    let l = weight -. (2.0 *. sum_pi) in
+    if l > !best then begin
+      best := l;
+      best_slack := oracle_slack ~n cost pi l;
+      since_improve := 0;
+      lambda := Float.min config.Held_karp.lambda0 (!lambda *. 1.02);
+      if !proof = None && proves l !best_slack then proof := Some !iter;
+      if l >= float_of_int upper_bound -. 1e-9 then continue := false
+    end
+    else begin
+      incr since_improve;
+      if !since_improve >= config.Held_karp.patience then begin
+        lambda := !lambda /. 2.0;
+        since_improve := 0
       end
-      else begin
-        incr since_improve;
-        if !since_improve >= config.Held_karp.patience then begin
-          lambda := !lambda /. 2.0;
-          since_improve := 0
-        end
-      end;
-      let norm2 = ref 0.0 in
-      for v = 0 to n - 1 do
-        let g = float_of_int (deg.(v) - 2) in
-        norm2 := !norm2 +. (g *. g)
-      done;
-      if !norm2 = 0.0 then continue := false
-      else if !lambda < 1e-6 then continue := false
-      else begin
-        let gap = float_of_int upper_bound -. l in
-        let gap = if gap <= 0.0 then 1.0 else gap in
-        let t = !lambda *. gap /. !norm2 in
-        for v = 0 to n - 1 do
-          let g =
-            (0.7 *. float_of_int (deg.(v) - 2)) +. (0.3 *. prev_grad.(v))
-          in
-          prev_grad.(v) <- g;
-          pi.(v) <- pi.(v) +. (t *. g)
-        done
-      end
+    end;
+    let norm2 = ref 0.0 in
+    for v = 0 to n - 1 do
+      let g = float_of_int (deg.(v) - 2) in
+      norm2 := !norm2 +. (g *. g)
     done;
-    (!best, !best_slack, !iter, !proof)
-  end
+    if !norm2 = 0.0 then continue := false
+    else if !lambda < 1e-6 then continue := false
+    else begin
+      let gap = float_of_int upper_bound -. l in
+      let gap = if gap <= 0.0 then 1.0 else gap in
+      let t = !lambda *. gap /. !norm2 in
+      for v = 0 to n - 1 do
+        let g =
+          (0.7 *. float_of_int (deg.(v) - 2)) +. (0.3 *. prev_grad.(v))
+        in
+        prev_grad.(v) <- g;
+        pi.(v) <- pi.(v) +. (t *. g)
+      done
+    end
+  done;
+  (!best, !best_slack, !iter, !proof)
 
 (** [(bound, iterations, first proving iteration)] of the full ascent
     on the directed instance, rounded the way [directed_bound] rounds. *)
@@ -147,77 +142,6 @@ let oracle_directed ~config (d : Dtsp.t) ~upper_bound =
       ~upper_bound:(upper_bound - s.Sym.offset)
   in
   (round b slack, iters, proof)
-
-(* ------------------------------------------------------------------ *)
-(* the 1-tree                                                          *)
-
-(** Random symmetric matrix, n ∈ [4, 40], costs in [0, range] with a
-    small range so equal weights — and so Prim's tie-breaking — are
-    common; π is all zero, small multiples of ½ (ties survive the
-    modification) or arbitrary floats. *)
-let one_tree_case seed =
-  let rng = Random.State.make [| 0x1EE; seed |] in
-  let n = 4 + Random.State.int rng 37 in
-  let range = 1 + Random.State.int rng 6 in
-  let cost = Array.make (n * n) 0 in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      let c = Random.State.int rng (range + 1) in
-      cost.((u * n) + v) <- c;
-      cost.((v * n) + u) <- c
-    done
-  done;
-  let pi =
-    match seed mod 3 with
-    | 0 -> Array.make n 0.0
-    | 1 -> Array.init n (fun _ -> 0.5 *. float_of_int (Random.State.int rng 5 - 2))
-    | _ -> Array.init n (fun _ -> Random.State.float rng 10.0 -. 5.0)
-  in
-  (n, cost, pi)
-
-let prop_one_tree_matches_two_pass_prim =
-  QCheck2.Test.make ~count:400
-    ~name:"fused 1-tree = two-pass Prim (weight bits, degrees)" gen_seed
-    (fun seed ->
-      let n, cost, pi = one_tree_case seed in
-      let w, deg = Held_karp.one_tree ~n cost pi in
-      let w', deg' = oracle_one_tree ~n cost pi in
-      Int64.equal (Int64.bits_of_float w) (Int64.bits_of_float w')
-      && deg = deg')
-
-(** The oracle's 1-tree also drives a long π sequence: run the real
-    ascent's π updates through both trees and compare at every step. *)
-let prop_one_tree_along_ascent =
-  QCheck2.Test.make ~count:60 ~name:"1-tree agrees along a subgradient walk"
-    gen_seed (fun seed ->
-      let n, cost, _ = one_tree_case seed in
-      let pi = Array.make n 0.0 in
-      let ok = ref true in
-      for step = 1 to 40 do
-        let w, deg = Held_karp.one_tree ~n cost pi in
-        let w', deg' = oracle_one_tree ~n cost pi in
-        if Int64.bits_of_float w <> Int64.bits_of_float w' || deg <> deg' then
-          ok := false;
-        let t = 1.0 /. float_of_int step in
-        Array.iteri
-          (fun v d -> pi.(v) <- pi.(v) +. (t *. float_of_int (d - 2)))
-          deg'
-      done;
-      !ok)
-
-let test_one_tree_rejects_bad_sizes () =
-  let raises f =
-    match f () with _ -> false | exception Invalid_argument _ -> true
-  in
-  Alcotest.(check bool)
-    "n < 3" true
-    (raises (fun () -> Held_karp.one_tree ~n:2 [| 0; 1; 1; 0 |] [| 0.; 0. |]));
-  Alcotest.(check bool)
-    "cost not n×n" true
-    (raises (fun () -> Held_karp.one_tree ~n:4 (Array.make 15 1) (Array.make 4 0.)));
-  Alcotest.(check bool)
-    "π not length n" true
-    (raises (fun () -> Held_karp.one_tree ~n:4 (Array.make 16 1) (Array.make 3 0.)))
 
 (* ------------------------------------------------------------------ *)
 (* the pair-step 1-tree of symmetrized instances                       *)
@@ -239,12 +163,13 @@ let sym_agrees (s : Sym.t) pi =
       (String.concat "," (Array.to_list (Array.map string_of_int deg')))
   else pair_step
 
-(** Random directed instance, 2–40 cities, costs in [0, range] with a
-    small range, so equal weights and Prim's tie order are common. *)
-let sym_of_seed seed =
+(** Random directed instance, 2–40 cities, costs in [0, range] with
+    range below [max_range] (default 4), so equal weights and Prim's tie
+    order are common. *)
+let sym_of_seed ?(max_range = 4) seed =
   let rng = Random.State.make [| 0x5E1; seed |] in
   let n = 2 + Random.State.int rng 39 in
-  let range = 1 + Random.State.int rng 4 in
+  let range = 1 + Random.State.int rng max_range in
   Sym.of_dtsp
     (Dtsp.make
        (Array.init n (fun i ->
@@ -293,20 +218,30 @@ let prop_sym_one_tree_along_ascent =
 
 (** π spreads that break one premise each: in-cities lifted far above
     out-cities (premise 1), or one pair lifted above every directed
-    edge (premise 2).  The dense fallback must run, and agree. *)
+    edge (premise 2).  The dense fallback must run, and agree with the
+    two-pass Prim bit for bit.  Costs span at most [0, 6] and the π
+    noise under the lift is zero, a small multiple of ½ (ties survive
+    the modification) or an arbitrary float in [−5, 5), so the dense
+    Prim's first-minimum tie order is exercised as well as its
+    arithmetic. *)
 let prop_sym_one_tree_guard_broken =
-  QCheck2.Test.make ~count:100
+  QCheck2.Test.make ~count:400
     ~name:"π breaking a pair-step premise falls back to the dense Prim"
     gen_seed (fun seed ->
-      let s = sym_of_seed seed in
+      let s = sym_of_seed ~max_range:6 seed in
       let rng = Random.State.make [| 0x6A7; seed |] in
       let nn = s.Sym.nn in
       let pi =
-        Array.init nn (fun _ -> 0.5 *. float_of_int (Random.State.int rng 5))
+        match (seed / 2) mod 3 with
+        | 0 -> Array.make nn 0.0
+        | 1 ->
+            Array.init nn (fun _ ->
+                0.5 *. float_of_int (Random.State.int rng 5 - 2))
+        | _ -> Array.init nn (fun _ -> Random.State.float rng 10.0 -. 5.0)
       in
       (if seed mod 2 = 0 then begin
-         (* beyond the gap [inf − cmax] by more than π's noise of 2 *)
-         let lift = float_of_int (s.Sym.inf + 4) in
+         (* beyond the gap [inf − cmax] by more than π's noise of 10 *)
+         let lift = float_of_int (s.Sym.inf + 16) in
          let lift = if Random.State.bool rng then lift else -.lift in
          for a = 1 to s.Sym.n_cities - 1 do
            pi.(2 * a) <- pi.(2 * a) +. lift
@@ -314,7 +249,7 @@ let prop_sym_one_tree_guard_broken =
        end
        else
          let a = 1 + Random.State.int rng (s.Sym.n_cities - 1) in
-         let lift = float_of_int (s.Sym.m + s.Sym.real_max + 4) in
+         let lift = float_of_int (s.Sym.m + s.Sym.real_max + 16) in
          pi.(2 * a) <- pi.(2 * a) +. lift;
          pi.((2 * a) + 1) <- pi.((2 * a) + 1) +. lift);
       if sym_agrees s pi then
@@ -369,7 +304,12 @@ let test_sym_one_tree_rejects_bad_sizes () =
   let one = Sym.of_dtsp (Dtsp.make [| [| 0; 0 |]; [| 0; 0 |] |]) in
   Alcotest.(check bool)
     "π not one entry per city" true
-    (raises (fun () -> Held_karp.sym_one_tree one (Array.make 3 0.)))
+    (raises (fun () -> Held_karp.sym_one_tree one (Array.make 3 0.)));
+  Alcotest.(check bool)
+    "one directed city" true
+    (raises (fun () ->
+         Held_karp.sym_one_tree (Sym.of_dtsp (Dtsp.make [| [| 0 |] |]))
+           (Array.make 2 0.)))
 
 (* ------------------------------------------------------------------ *)
 (* the bound                                                           *)
@@ -476,6 +416,24 @@ let big = 1 lsl 50
 let raises_invalid f =
   match f () with _ -> false | exception Invalid_argument _ -> true
 
+(* raised by the float-exact guard itself, not by an earlier check *)
+let raises_limit f =
+  match f () with
+  | _ -> false
+  | exception Invalid_argument msg ->
+      let key = "float-exact limit" in
+      let k = String.length key in
+      let rec has i =
+        i + k <= String.length msg && (String.sub msg i k = key || has (i + 1))
+      in
+      has 0
+
+(* Found by a seeded search over 3- and 4-city instances with costs
+   below 10: its 1-tree at π = 0 is not a tour, so the ascent takes a
+   step instead of stopping at its first iterate. *)
+let pi_growth_instance =
+  Dtsp.make [| [| 0; 3; 1 |]; [| 0; 0; 2 |]; [| 4; 7; 0 |] |]
+
 let test_guard_rejects_huge_instances () =
   (* directed costs of 2⁵⁰ put the forbidden-pair weight (≈ 24× the
      largest cost) far above 2⁵² *)
@@ -491,23 +449,27 @@ let test_guard_rejects_huge_instances () =
     (raises_invalid (fun () ->
          Held_karp.directed_bound (dtsp_of_seed 1) ~upper_bound:(1 lsl 53)));
   Alcotest.(check bool)
-    "bound raises on a huge symmetric matrix" true
-    (raises_invalid (fun () ->
-         Held_karp.bound ~n:4 (Array.make 16 (1 lsl 52)) ~upper_bound:0));
+    "a directed cost of 2^52 raises" true
+    (raises_limit (fun () ->
+         Held_karp.directed_bound
+           (Dtsp.make [| [| 0; 1 lsl 52 |]; [| 1 lsl 52; 0 |] |])
+           ~upper_bound:0));
   (* small costs pass the static check, but a loose upper bound just
      under 2⁵² makes the Polyak steps — and so π and the modified
-     weights — that large; city 1 is a free hub, so the 1-tree never
-     becomes a tour that would end the ascent first *)
-  let n = 6 in
-  let cost =
-    Array.init (n * n) (fun k ->
-        let u = k / n and v = k mod n in
-        if u = v || u = 1 || v = 1 then 0 else 10)
-  in
+     weights — that large, once the 1-tree at π = 0 is not a tour *)
+  let d = pi_growth_instance in
+  let s = Sym.of_dtsp d in
+  let _, deg = Held_karp.sym_one_tree s (Array.make s.Sym.nn 0.0) in
+  Alcotest.(check bool) "the 1-tree at π = 0 is not a tour" false
+    (Array.for_all (( = ) 2) deg);
+  let _, stats = Iterated.solve d in
+  Alcotest.(check bool) "a tight upper bound bounds normally" true
+    (Held_karp.directed_bound d ~upper_bound:stats.Iterated.best_cost
+     <= stats.Iterated.best_cost);
   Alcotest.(check bool)
     "π growth past 2^52 raises" true
-    (raises_invalid (fun () ->
-         Held_karp.bound ~n cost ~upper_bound:((1 lsl 52) - 1)));
+    (raises_limit (fun () ->
+         Held_karp.directed_bound d ~upper_bound:((1 lsl 52) - 1)));
   (* paper-scale magnitudes (~10⁸) stay well inside *)
   let d =
     Dtsp.make
@@ -686,13 +648,6 @@ let test_paper_suite_bounds_never_fall () =
 let () =
   Alcotest.run "held-karp-prop"
     [
-      ( "one-tree",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_one_tree_matches_two_pass_prim; prop_one_tree_along_ascent ]
-        @ [
-            Alcotest.test_case "rejects bad sizes" `Quick
-              test_one_tree_rejects_bad_sizes;
-          ] );
       ( "pair-step",
         List.map QCheck_alcotest.to_alcotest
           [

@@ -143,6 +143,33 @@ let test_metrics_gap () =
   Alcotest.(check (float 1e-4)) "mean" 0.20 g.Metrics.mean;
   Alcotest.(check (float 1e-4)) "max" 0.30 g.Metrics.max
 
+(* The quantiles are bucket estimates, the maximum is exact: no
+   estimate may exceed it.  One observation of 45.5 µs lands in the
+   bucket [45.25, 49.35) µs, whose midpoint (47.3 µs) is above the
+   recorded 45 µs maximum. *)
+let test_metrics_latency_quantiles () =
+  Metrics.reset ();
+  Metrics.observe_latency_ms 0.0455;
+  let l = Metrics.latency () in
+  Alcotest.(check (float 0.)) "max" 0.045 l.Metrics.max_ms;
+  Alcotest.(check (float 0.)) "one observation: p50 = max" l.Metrics.max_ms
+    l.Metrics.p50_ms;
+  Alcotest.(check (float 0.)) "one observation: p95 = max" l.Metrics.max_ms
+    l.Metrics.p95_ms;
+  let rng = Random.State.make [| 0x9E7 |] in
+  for round = 1 to 200 do
+    Metrics.reset ();
+    (* log-uniform latencies from 1 µs to 10 s, 1–40 per round *)
+    for _ = 1 to 1 + Random.State.int rng 40 do
+      Metrics.observe_latency_ms (Float.pow 10. (Random.State.float rng 7. -. 3.))
+    done;
+    let l = Metrics.latency () in
+    if not (l.Metrics.p50_ms <= l.Metrics.p95_ms && l.Metrics.p95_ms <= l.Metrics.max_ms)
+    then
+      Alcotest.failf "round %d: p50 %g, p95 %g, max %g" round l.Metrics.p50_ms
+        l.Metrics.p95_ms l.Metrics.max_ms
+  done
+
 let test_metrics_snapshot_names () =
   Metrics.reset ();
   let snap = Metrics.snapshot () in
@@ -308,6 +335,8 @@ let () =
         [
           Alcotest.test_case "counters" `Quick test_metrics_counters;
           Alcotest.test_case "hk-gap" `Quick test_metrics_gap;
+          Alcotest.test_case "latency quantiles" `Quick
+            test_metrics_latency_quantiles;
           Alcotest.test_case "snapshot-names" `Quick test_metrics_snapshot_names;
           Alcotest.test_case "cross-domain" `Quick test_metrics_cross_domain;
         ] );

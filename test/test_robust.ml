@@ -371,6 +371,18 @@ let test_chain_shape () =
   check_chain Driver.Greedy [ "greedy"; "original" ];
   check_chain Driver.Original [ "original" ]
 
+(* The CLI and the wire decoder parse method names with
+   [method_of_string]: it must invert [method_name] on every method. *)
+let test_method_names_round_trip () =
+  List.iter
+    (fun m ->
+      let name = Driver.method_name m in
+      Alcotest.(check bool) (name ^ " round-trips") true
+        (Driver.method_of_string name = Some m))
+    (Driver.chain tsp @ [ Driver.Btfnt; Driver.Calder_exhaustive ]);
+  Alcotest.(check bool) "unknown name" true
+    (Driver.method_of_string "TSP" = None)
+
 let () =
   Alcotest.run "robust"
     [
@@ -412,5 +424,7 @@ let () =
           Alcotest.test_case "exit codes distinct and documented" `Quick
             test_exit_codes_distinct;
           Alcotest.test_case "degradation chains" `Quick test_chain_shape;
+          Alcotest.test_case "method names round-trip" `Quick
+            test_method_names_round_trip;
         ] );
     ]

@@ -439,6 +439,70 @@ let test_oracle_saw_both_outcomes () =
   Alcotest.(check bool) "some kicks accepted" true (!accepted_kicks > 0);
   Alcotest.(check bool) "some kicks rejected" true (!rejected_kicks > 0)
 
+(* A kick costs O(moves) tour operations, and so must its allocation:
+   [mark] reuses the journal, the double bridge and the rollback are
+   reversals, and the re-descent allocates only per move.  Measured
+   per kick after a warm-up, on random instances descended to a local
+   optimum and kicked from there (every kick rolled back): on the flat
+   arrays about 48 words per applied move, at 100 and 800 directed
+   cities alike; on the two-level tour at 50 cities about 110 words per
+   move, its segment splits included.  The bounds below
+   leave room for the compiler; one tour copy per kick breaks them at
+   both flat sizes. *)
+let kick_words ~repr n =
+  let rng = Random.State.make [| 0xA110C; n |] in
+  let d =
+    Dtsp.make
+      (Array.init n (fun i ->
+           Array.init n (fun j -> if i = j then 0 else Random.State.int rng 1000)))
+  in
+  let s = Sym.of_dtsp d in
+  let nbr = Neighbors.of_sym s ~k:12 in
+  let st = Three_opt.init ~repr s ~nbr ~tour:(Sym.expand s (Construct.identity n)) in
+  Three_opt.activate_all st;
+  Three_opt.run st;
+  let kick () =
+    Three_opt.mark st;
+    List.iter (Three_opt.activate st) (Iterated.double_bridge st rng);
+    Three_opt.run st;
+    Three_opt.rollback st
+  in
+  (* the journal reaches its working size *)
+  for _ = 1 to 100 do
+    kick ()
+  done;
+  let kicks = 300 in
+  let moves () = st.Three_opt.moves_2opt + st.Three_opt.moves_3opt in
+  (* arrays too large for the minor heap go straight to the major
+     heap, which [Gc.minor_words] misses: major minus promoted words
+     counts them *)
+  let allocated () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let m0 = moves () in
+  let w0 = allocated () in
+  for _ = 1 to kicks do
+    kick ()
+  done;
+  let words = allocated () -. w0 in
+  (words /. float_of_int kicks, float_of_int (moves () - m0) /. float_of_int kicks)
+
+let test_kick_allocation_independent_of_n () =
+  List.iter
+    (fun (repr, n, per_move) ->
+      let words, moves = kick_words ~repr n in
+      let what = Printf.sprintf "%s, %d cities" (Tour_repr.kind_name repr) n in
+      Alcotest.(check bool) (what ^ ": kicks apply moves") true (moves >= 1.);
+      if words > 64. +. (per_move *. moves) then
+        Alcotest.failf "%s: %.1f minor words per kick for %.2f moves" what words
+          moves)
+    [
+      (Tour_repr.Array, 100, 64.);
+      (Tour_repr.Array, 800, 64.);
+      (Tour_repr.Two_level, 50, 160.);
+    ]
+
 (* ---------------- gain bound: differential against a full scan ---------------- *)
 
 (* What the reference scan applied: [ub] is the move's gain bound
@@ -450,7 +514,7 @@ type applied = Two_opt | Three_opt_move of { third_locked : bool; ub : int }
     the same 2-opt scans, the same [dab + 2·real_max] candidate limit
     and the same x-major T3–T6 order, but every reconnection's gain is
     computed in full.  Moves are applied through the public journaled
-    [reverse] (a 3-opt move as its {!Tour_repr.reconnect_reversals}
+    [reverse] (a 3-opt move as its {!Three_opt.reconnect_reversals}
     sequence), which leaves the same tour array and cost. *)
 let reference_try_city (st : Three_opt.state) a =
   let s = st.Three_opt.s in
@@ -514,7 +578,7 @@ let reference_try_city (st : Three_opt.state) a =
                           let ub = dab + d p q + d u v - d a x - d b y in
                           let gain = ub - d e f in
                           if gain > 0 then begin
-                            Tour_repr.reconnect_reversals ~n ~pi ~jj ~kk ty
+                            Three_opt.reconnect_reversals ~n ~pi ~jj ~kk ty
                               (Three_opt.reverse st);
                             st.Three_opt.moves_3opt <- st.Three_opt.moves_3opt + 1;
                             activate [ a; b; x; y; e; f ];
@@ -525,10 +589,10 @@ let reference_try_city (st : Three_opt.state) a =
                           end
                         end)
                       [
-                        (Tour_repr.T3, rx, ry, (x, sx), (y, sy), (sx, sy));
-                        (Tour_repr.T4, rx1, ry, (prx, x), (y, sy), (prx, sy));
-                        (Tour_repr.T5, rx1, ry1, (prx, x), (pry, y), (prx, pry));
-                        (Tour_repr.T6, ry1, rx, (x, sx), (pry, y), (pry, sx));
+                        (Three_opt.T3, rx, ry, (x, sx), (y, sy), (sx, sy));
+                        (Three_opt.T4, rx1, ry, (prx, x), (y, sy), (prx, sy));
+                        (Three_opt.T5, rx1, ry1, (prx, x), (pry, y), (prx, pry));
+                        (Three_opt.T6, ry1, rx, (x, sx), (pry, y), (pry, sx));
                       ])
                   ys)
               (prefix (fun x -> d a x >= limit) st.Three_opt.nbr.(a))
@@ -766,6 +830,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_solve_matches_oracle;
           Alcotest.test_case "oracle saw accepts and rejects" `Quick
             test_oracle_saw_both_outcomes;
+          Alcotest.test_case "kick allocation independent of n" `Quick
+            test_kick_allocation_independent_of_n;
         ] );
       ( "gain-bound",
         [

@@ -79,66 +79,80 @@ let prop_two_level_matches_oracle =
       done;
       true)
 
-(* ---------------- reconnect: optimized flat vs reversal replay ----- *)
+(* ---------------- 3-opt reconnections: reversals vs segment algebra  *)
 
-(* the reversal sequences the optimized flat windows replaced; applied
-   through Tour_repr.reverse they are the semantic reference for all
-   four reconnection types *)
-let reference_reconnect repr ~pi ~jj ~kk ty =
-  let n = Tour_repr.n repr in
-  let p o = (pi + o) mod n in
-  let p1 = p 1 and pj = p jj and pj1 = p (jj + 1) and pk = p kk in
-  match (ty : Tour_repr.reconnection) with
-  | T3 ->
-      Tour_repr.reverse repr p1 pj;
-      Tour_repr.reverse repr pj1 pk
-  | T4 ->
-      Tour_repr.reverse repr p1 pj;
-      Tour_repr.reverse repr pj1 pk;
-      Tour_repr.reverse repr p1 pk
-  | T5 ->
-      Tour_repr.reverse repr pj1 pk;
-      Tour_repr.reverse repr p1 pk
-  | T6 ->
-      Tour_repr.reverse repr p1 pj;
-      Tour_repr.reverse repr p1 pk
+(* the declarative meaning of a reconnection (DESIGN.md §6): with s1 =
+   offsets 1..jj and s2 = offsets jj+1..kk from pi, the window becomes
+   T3 = [rev s1, rev s2], T4 = [s2, s1], T5 = [s2, rev s1],
+   T6 = [rev s2, s1]; every other position keeps its city *)
+let oracle_reconnect t ~pi ~jj ~kk (ty : Three_opt.reconnection) =
+  let n = Array.length t in
+  let at o = t.((pi + o) mod n) in
+  let s1 = List.init jj (fun u -> at (1 + u))
+  and s2 = List.init (kk - jj) (fun u -> at (jj + 1 + u)) in
+  let window =
+    match ty with
+    | T3 -> List.rev s1 @ List.rev s2
+    | T4 -> s2 @ s1
+    | T5 -> s2 @ List.rev s1
+    | T6 -> List.rev s2 @ s1
+  in
+  let t' = Array.copy t in
+  List.iteri (fun u c -> t'.((pi + 1 + u) mod n) <- c) window;
+  t'
 
-let prop_reconnect_matches_reference =
+let prop_reconnect_matches_segment_algebra =
   QCheck2.Test.make ~count:400
-    ~name:"reconnect (flat scratch + two-level) = reversal-replay reference"
+    ~name:"3-opt reversal sequences realize the segment algebra (flat, two-level)"
     gen_seed (fun seed ->
       let rng = Random.State.make [| seed + 7 |] in
       let n = 5 + Random.State.int rng 120 in
-      let tour = random_tour rng n in
-      let flat = Tour_repr.make Tour_repr.Array ~n_cities:n tour in
-      let two = Tour_repr.make Tour_repr.Two_level ~n_cities:n tour in
-      let refr = Tour_repr.make Tour_repr.Array ~n_cities:n tour in
-      for _ = 1 to 25 do
-        (* 1 ≤ jj < kk ≤ n−1: two non-empty window segments *)
+      let oracle = random_tour rng n in
+      let flat = Tour_repr.make Tour_repr.Array ~n_cities:n oracle in
+      let two = Tour_repr.make Tour_repr.Two_level ~n_cities:n oracle in
+      for step = 1 to 25 do
+        (* 1 ≤ jj < kk ≤ n−1: two non-empty window segments; the
+           window's extremes get extra weight *)
         let pi = Random.State.int rng n in
-        let kk = 2 + Random.State.int rng (n - 2) in
-        let jj = 1 + Random.State.int rng (kk - 1) in
-        let ty =
-          match Random.State.int rng 4 with
-          | 0 -> Tour_repr.T3
-          | 1 -> Tour_repr.T4
-          | 2 -> Tour_repr.T5
-          | _ -> Tour_repr.T6
+        let kk =
+          if Random.State.int rng 4 = 0 then n - 1
+          else 2 + Random.State.int rng (n - 2)
         in
-        Tour_repr.reconnect flat ~pi ~jj ~kk ty;
-        Tour_repr.reconnect two ~pi ~jj ~kk ty;
-        reference_reconnect refr ~pi ~jj ~kk ty;
-        let want = Tour_repr.to_array refr in
-        if Tour_repr.to_array flat <> want then
-          QCheck2.Test.fail_reportf "flat reconnect diverged (n=%d jj=%d kk=%d)"
-            n jj kk;
-        if Tour_repr.to_array two <> want then
-          QCheck2.Test.fail_reportf
-            "two-level reconnect diverged (n=%d jj=%d kk=%d)" n jj kk;
-        (* positions must track the permutation in both *)
-        let c = Random.State.int rng n in
-        if Tour_repr.pos flat c <> Tour_repr.pos two c then
-          QCheck2.Test.fail_reportf "pos diverged after reconnect"
+        let jj =
+          match Random.State.int rng 4 with
+          | 0 -> 1
+          | 1 -> kk - 1
+          | _ -> 1 + Random.State.int rng (kk - 1)
+        in
+        let ty : Three_opt.reconnection =
+          match Random.State.int rng 4 with
+          | 0 -> T3
+          | 1 -> T4
+          | 2 -> T5
+          | _ -> T6
+        in
+        let want = oracle_reconnect oracle ~pi ~jj ~kk ty in
+        Array.blit want 0 oracle 0 n;
+        List.iter
+          (fun (name, repr) ->
+            Three_opt.reconnect_reversals ~n ~pi ~jj ~kk ty
+              (Tour_repr.reverse repr);
+            if Tour_repr.to_array repr <> oracle then
+              QCheck2.Test.fail_reportf
+                "%s diverged at step %d (n=%d pi=%d jj=%d kk=%d)" name step n
+                pi jj kk;
+            (* positions and links must track the permutation *)
+            Array.iteri
+              (fun p c ->
+                if
+                  Tour_repr.pos repr c <> p
+                  || Tour_repr.succ repr c <> oracle.((p + 1) mod n)
+                  || Tour_repr.pred repr c <> oracle.((p + n - 1) mod n)
+                then
+                  QCheck2.Test.fail_reportf "%s queries diverged at step %d"
+                    name step)
+              oracle)
+          [ ("flat", flat); ("two-level", two) ]
       done;
       true)
 
@@ -195,6 +209,35 @@ let prop_shift_reverse_agree =
           [ ("flat", flat); ("two-level", two) ]
       done;
       true)
+
+(* The flat shift is three reversals; pin the rotation amounts at and
+   beyond its edges: none, one either way, a full turn, n − 1 and
+   multiples of n either way. *)
+let test_shift_edges () =
+  List.iter
+    (fun n ->
+      let tour = random_tour (Random.State.make [| n |]) n in
+      List.iter
+        (fun k ->
+          let want = Array.copy tour in
+          oracle_shift want k;
+          let reprs =
+            ("flat", Tour_repr.make Tour_repr.Array ~n_cities:n tour)
+            :: (if n >= 4 then
+                  [ ("two-level", Tour_repr.make Tour_repr.Two_level ~n_cities:n tour) ]
+                else [])
+          in
+          List.iter
+            (fun (name, repr) ->
+              Tour_repr.shift repr k;
+              let what = Printf.sprintf "%s n=%d k=%d" name n k in
+              Alcotest.(check (array int)) what want (Tour_repr.to_array repr);
+              Array.iteri
+                (fun p c -> Alcotest.(check int) (what ^ " pos") p (Tour_repr.pos repr c))
+                want)
+            reprs)
+        [ 0; 1; -1; n - 1; -(n - 1); n; -n; (2 * n) + 3; -((2 * n) + 3) ])
+    [ 1; 2; 3; 4; 7; 64 ]
 
 (* ---------------- full-trajectory identity across representations -- *)
 
@@ -436,8 +479,10 @@ let () =
       ( "two-level",
         [
           QCheck_alcotest.to_alcotest prop_two_level_matches_oracle;
-          QCheck_alcotest.to_alcotest prop_reconnect_matches_reference;
+          QCheck_alcotest.to_alcotest prop_reconnect_matches_segment_algebra;
           QCheck_alcotest.to_alcotest prop_shift_reverse_agree;
+          Alcotest.test_case "shift at and beyond its edges" `Quick
+            test_shift_edges;
         ] );
       ( "trajectory",
         [

@@ -19,7 +19,10 @@
      serve_soak [--requests N] [--out FILE]
 
    Writes a serve-soak/1 JSON artifact (validated by
-   check_trace --serve-soak) and exits 1 on any contract violation. *)
+   check_trace --serve-soak) and exits 1 on any contract violation.  A
+   write the server refuses (EPIPE: it ended the conversation early)
+   ends the soak as a crash naming the request id and fault kind; the
+   artifact is still written. *)
 
 module Wire = Ba_serve.Wire
 module Server = Ba_serve.Server
@@ -153,6 +156,62 @@ let expect_error ~what t =
   | Some (Error m) -> die "%s: undecodable response: %s" what m
   | None -> die "%s: stream ended instead of an error response" what
 
+(* the artifact's path ([--out]); empty writes none *)
+let out = ref ""
+
+(** Write the artifact and the summary line; exit 1 on a crash or an
+    uncertified layout. *)
+let finish () =
+  let doc =
+    Json.Obj
+      [
+        ("schema", Json.String "serve-soak/1");
+        ("requests", Json.Int counts.requests);
+        ("ok", Json.Int counts.ok);
+        ("errors", Json.Int counts.errors);
+        ("faults_injected", Json.Int counts.faults);
+        ("segments", Json.Int counts.segments);
+        ("cache_hits", Json.Int counts.cache_hits);
+        ("warm_starts", Json.Int counts.warm_starts);
+        ("repeats_identical", Json.Int counts.repeats_identical);
+        ("uncertified", Json.Int counts.uncertified);
+        ("crashes", Json.Int counts.crashes);
+      ]
+  in
+  if !out <> "" then Json.write_file !out doc;
+  Printf.printf
+    "serve-soak: %d requests, %d ok, %d errors, %d faults, %d segments, %d \
+     cache hits, %d warm starts, %d uncertified, %d crashes\n"
+    counts.requests counts.ok counts.errors counts.faults counts.segments
+    counts.cache_hits counts.warm_starts counts.uncertified counts.crashes;
+  if counts.uncertified > 0 || counts.crashes > 0 then exit 1
+
+(** Run one write to the server.  A write that fails with EPIPE means
+    the server ended the conversation early: a crash, reported with
+    the request id and kind, after which the soak stops and still
+    writes its artifact. *)
+let guard_write ~id ~kind t write =
+  try write ()
+  with Unix.Unix_error (Unix.EPIPE, _, _) ->
+    counts.crashes <- counts.crashes + 1;
+    Printf.eprintf
+      "serve_soak: CRASH: request %d (%s): the server closed the \
+       conversation early (EPIPE on write)\n%!"
+      id kind;
+    (match Driver.stop t with
+    | Ok _ -> ()
+    | Error e ->
+        Printf.eprintf "serve_soak: the server raised %s\n%!"
+          (Printexc.to_string e));
+    counts.segments <- counts.segments + 1;
+    (* exits 1: the crash is counted *)
+    finish ()
+
+let send ~id ~kind t req = guard_write ~id ~kind t (fun () -> Driver.send t req)
+
+let send_raw ~id ~kind t s =
+  guard_write ~id ~kind t (fun () -> Driver.send_raw t s)
+
 let align_request ~id (s : subject) variant =
   Wire.Align
     {
@@ -183,7 +242,6 @@ let finish_segment t ~expected =
 
 let () =
   let n_requests = ref 1000 in
-  let out = ref "" in
   let rec parse = function
     | [] -> ()
     | "--requests" :: v :: rest ->
@@ -223,14 +281,14 @@ let () =
       (* valid align on the repeat-heavy variant: cache traffic *)
       let s = subjects.(Random.State.int rng (Array.length subjects)) in
       let req = align_request ~id s 0 in
-      Driver.send !t req;
+      send ~id ~kind:"align" !t req;
       let first = expect_ok ~what:"align" !t s s.profiles.(0) in
       (* every 6th: repeat the identical request immediately and demand
          a bit-identical cached layout *)
       if id mod 6 = 0 && !sent < !n_requests then begin
         incr sent;
         counts.requests <- counts.requests + 1;
-        Driver.send !t req;
+        send ~id ~kind:"repeat" !t req;
         match (first, expect_ok ~what:"repeat" !t s s.profiles.(0)) with
         | Some a, Some b ->
             if not b.Wire.cached then die "repeat of request %d not cached" id;
@@ -244,11 +302,11 @@ let () =
       (* drifted profile on a known CFG: misses that warm-start *)
       let s = subjects.(Random.State.int rng (Array.length subjects)) in
       let v = 1 + Random.State.int rng 2 in
-      Driver.send !t (align_request ~id s v);
+      send ~id ~kind:"drift" !t (align_request ~id s v);
       ignore (expect_ok ~what:"drift" !t s s.profiles.(v))
     end
     else if roll < 74 then begin
-      Driver.send !t (Wire.Stats { id });
+      send ~id ~kind:"stats" !t (Wire.Stats { id });
       match Driver.recv_response !t with
       | Some (Ok (Wire.C_stats _)) -> ()
       | _ -> die "stats: bad response"
@@ -260,7 +318,7 @@ let () =
       counts.faults <- counts.faults + 1;
       let s = subjects.(Random.State.int rng (Array.length subjects)) in
       let payload = Wire.request_to_string (align_request ~id s 0) in
-      Driver.send_raw !t
+      send_raw ~id ~kind:(Faults.protocol_name k) !t
         (Faults.inject_protocol ~max_frame_bytes ~max_blocks ~seed:id k payload);
       match Faults.protocol_expectation k with
       | `Error_response -> expect_error ~what:(Faults.protocol_name k) !t
@@ -277,7 +335,7 @@ let () =
       counts.faults <- counts.faults + 1;
       let s = subjects.(Random.State.int rng (Array.length subjects)) in
       let payload = Wire.request_to_string (align_request ~id s 0) in
-      Driver.send_raw !t
+      send_raw ~id ~kind:(Faults.protocol_name k) !t
         (Faults.inject_protocol ~max_frame_bytes ~max_blocks ~seed:id k payload);
       Driver.close_input !t;
       expect_error ~what:(Faults.protocol_name k) !t;
@@ -289,33 +347,11 @@ let () =
     end
   done;
   (* last segment leaves through the shutdown verb *)
-  Driver.send !t (Wire.Shutdown { id = !sent });
+  send ~id:!sent ~kind:"shutdown" !t (Wire.Shutdown { id = !sent });
   (match Driver.recv_response !t with
   | Some (Ok (Wire.C_shutdown _)) -> ()
   | _ -> die "shutdown: bad response");
   finish_segment !t ~expected:[ Server.Shutdown_verb ];
+  finish ();
   if counts.cache_hits = 0 then die "soak produced no cache hits";
-  if counts.warm_starts = 0 then die "soak produced no warm starts";
-  let doc =
-    Json.Obj
-      [
-        ("schema", Json.String "serve-soak/1");
-        ("requests", Json.Int counts.requests);
-        ("ok", Json.Int counts.ok);
-        ("errors", Json.Int counts.errors);
-        ("faults_injected", Json.Int counts.faults);
-        ("segments", Json.Int counts.segments);
-        ("cache_hits", Json.Int counts.cache_hits);
-        ("warm_starts", Json.Int counts.warm_starts);
-        ("repeats_identical", Json.Int counts.repeats_identical);
-        ("uncertified", Json.Int counts.uncertified);
-        ("crashes", Json.Int counts.crashes);
-      ]
-  in
-  if !out <> "" then Json.write_file !out doc;
-  Printf.printf
-    "serve-soak: %d requests, %d ok, %d errors, %d faults, %d segments, %d \
-     cache hits, %d warm starts, %d uncertified, %d crashes\n"
-    counts.requests counts.ok counts.errors counts.faults counts.segments
-    counts.cache_hits counts.warm_starts counts.uncertified counts.crashes;
-  if counts.uncertified > 0 || counts.crashes > 0 then exit 1
+  if counts.warm_starts = 0 then die "soak produced no warm starts"
