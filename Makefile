@@ -42,6 +42,7 @@ smoke: build
 	  "4:align $$tmp/ok.mc --input 1,two,3" \
 	  "2:align $$tmp/ok.mc --input 1 --input-file $$tmp/ok.mc" \
 	  "7:align $$tmp/ok.mc --deadline-ms 0 --fallback none" \
+	  "7:bench com --deadline-ms 0 --fallback none" \
 	  "2:bench nosuchbench" \
 	  "2:report tabel1"; \
 	for case in "$$@"; do \

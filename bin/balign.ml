@@ -704,20 +704,8 @@ let bench_cmd =
                    (List.map (fun w -> w.Ba_workloads.Workload.name)
                       Ba_workloads.Workload_apps.everything))))
     | Some w ->
-        let tsp = Ba_harness.Runner.default.Ba_harness.Runner.tsp in
         let config =
-          {
-            Ba_harness.Runner.model;
-            tsp =
-              {
-                tsp with
-                Ba_align.Tsp_align.solver =
-                  {
-                    tsp.Ba_align.Tsp_align.solver with
-                    Ba_tsp.Iterated.deadline_ms;
-                  };
-              };
-          }
+          { Ba_harness.Runner.default with Ba_harness.Runner.model; deadline_ms }
         in
         let outcomes =
           Ba_harness.Runner.run_all_outcomes ~config
@@ -749,7 +737,6 @@ let bench_cmd =
                    elapsed_ms =
                      (match deadline_ms with Some d -> float_of_int d | None -> 0.);
                    deadline_ms;
-                   moves = 0;
                  })
         in
         Ba_harness.Tables.table1 Fmt.stdout rows;
@@ -796,12 +783,11 @@ let bench_cmd =
 (* ---------------- serve ---------------- *)
 
 let serve_cmd =
-  let run socket model jobs cache_size cache_file max_frame_bytes max_blocks
+  let run socket model cache_size cache_file max_frame_bytes max_blocks
       default_deadline_ms max_deadline_ms profile_mode =
     let config =
       {
-        Ba_serve.Server.executor = Executor.of_jobs jobs;
-        model;
+        Ba_serve.Server.model;
         cache_capacity = cache_size;
         cache_file;
         max_frame_bytes;
@@ -866,9 +852,9 @@ let serve_cmd =
           requests on stdin (or --socket), certified layouts or typed \
           errors out; crash-only — requests can never take the server down \
           (see docs/SERVING.md)"
-    Term.(const (fun s mo j cs cf mf mb dd md pm ->
-              run_term (fun () -> run s mo j cs cf mf mb dd md pm))
-          $ socket_opt $ model_opt $ jobs_opt $ cache_size_opt $ cache_file_opt
+    Term.(const (fun s mo cs cf mf mb dd md pm ->
+              run_term (fun () -> run s mo cs cf mf mb dd md pm))
+          $ socket_opt $ model_opt $ cache_size_opt $ cache_file_opt
           $ max_frame_opt $ max_blocks_opt $ default_deadline_opt
           $ max_deadline_opt $ profile_mode_opt)
 

@@ -50,14 +50,11 @@ type aligned = {
       from it.
     - [initial] is a warm start for the TSP solver's run 0; the other
       methods ignore it.
-    - [budget] defaults to unlimited.  A TSP config's own
-      [solver.deadline_ms], if any, still applies: the solve stops at
-      the earlier of [budget]'s deadline and that many milliseconds
-      after it starts ({!Ba_robust.Budget.within}).  The search methods (TSP, Calder,
-      Calder_exhaustive, Btfnt) return [Error (Solver_timeout _)] on an
-      exhausted budget without starting, and a TSP solve the budget cut
-      short ([degraded]) is an [Error] too.  Greedy and Original always
-      run.
+    - [budget] defaults to unlimited.  The search methods (TSP,
+      Calder, Calder_exhaustive, Btfnt) return [Error (Solver_timeout _)]
+      on an exhausted budget without starting, and a TSP solve the
+      budget cut short ([degraded]) is an [Error] too.  Greedy and
+      Original always run.
     - Never raises: an exception escaping a method is returned as its
       typed error.  The [proc] of a [Solver_timeout] is [None]; the
       caller knows the procedure index. *)

@@ -5,9 +5,9 @@
     with iterated 3-Opt on the symmetrized instance otherwise — and read
     the layout off the best tour.
 
-    The solver runs under a {!Ba_robust.Budget}: when the wall-clock
-    deadline or move allowance runs out the aligner still returns a valid
-    layout (the best one found, or the identity layout if the budget was
+    The solver runs under the caller's {!Ba_robust.Budget}, if any:
+    when its deadline passes the aligner still returns a valid layout
+    (the best one found, or the identity layout if the budget was
     exhausted on arrival) and records the degradation reason in the
     result, so callers can fall back to a cheaper aligner. *)
 
@@ -17,7 +17,7 @@ module Profile = Ba_profile.Profile
 module Budget = Ba_robust.Budget
 
 type config = {
-  solver : Iterated.config;  (** iterated 3-Opt parameters (incl. budgets) *)
+  solver : Iterated.config;  (** iterated 3-Opt parameters *)
   exact_below : int;
       (** solve instances with at most this many cities (blocks + dummy)
           exactly by DP; 0 disables exact solving *)
@@ -35,23 +35,18 @@ type result = {
           [None] for a full-strength solve *)
 }
 
-let budget_of_config (config : config) =
-  Budget.create ?deadline_ms:config.solver.Iterated.deadline_ms ()
-
 (** [solve_instance ?config ?rng ?budget inst] solves a pre-built
     reduction instance (lets callers time matrix construction and
     solving separately).  [rng], when given, is the task's own random
     stream (see {!Ba_engine.Task}); by default the solver derives a
-    deterministic state from its config and the instance.  Never raises
-    on budget exhaustion: a valid, possibly degraded layout always
-    comes back. *)
+    deterministic state from its config and the instance.  An absent
+    [budget] means no limit.  Never raises on budget exhaustion: a
+    valid, possibly degraded layout always comes back. *)
 let solve_instance ?(config = default) ?rng ?budget ?initial
     (inst : Reduction.t) : result =
-  let budget =
-    match budget with Some b -> b | None -> budget_of_config config
-  in
-  if Budget.exhausted budget then begin
-    (* no budget at all: hand back the identity layout, flagged *)
+  let timeout () = Option.map (fun b -> Budget.timeout_error b) budget in
+  if Option.fold ~none:false ~some:Budget.exhausted budget then begin
+    (* exhausted on arrival: hand back the identity layout, flagged *)
     Ba_obs.Metrics.incr Ba_obs.Metrics.Budget_exhaustions;
     let order = Layout.identity inst.Reduction.cfg in
     {
@@ -59,7 +54,7 @@ let solve_instance ?(config = default) ?rng ?budget ?initial
       cost = Reduction.layout_cost inst order;
       exact = false;
       stats = None;
-      degraded = Some (Budget.timeout_error budget);
+      degraded = timeout ();
     }
   end
   else begin
@@ -81,7 +76,7 @@ let solve_instance ?(config = default) ?rng ?budget ?initial
         | _ -> None
       in
       let tour, stats =
-        Iterated.solve ~config:config.solver ?rng ~budget ?initial
+        Iterated.solve ~config:config.solver ?rng ?budget ?initial
           inst.Reduction.dtsp
       in
       let order = Reduction.order_of_tour inst tour in
@@ -92,9 +87,7 @@ let solve_instance ?(config = default) ?rng ?budget ?initial
         cost;
         exact = false;
         stats = Some stats;
-        degraded =
-          (if stats.Iterated.timed_out then Some (Budget.timeout_error budget)
-           else None);
+        degraded = (if stats.Iterated.timed_out then timeout () else None);
       }
     end
   end

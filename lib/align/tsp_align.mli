@@ -1,14 +1,14 @@
 (** The paper's TSP-based branch aligner: build the DTSP instance, solve
     it (exactly on small instances, iterated 3-Opt otherwise), read the
-    layout off the best tour.  Runs under a {!Ba_robust.Budget}: on
-    exhaustion a valid layout still comes back, with the degradation
-    reason recorded in the result. *)
+    layout off the best tour.  Runs under the caller's
+    {!Ba_robust.Budget}, if any: on exhaustion a valid layout still
+    comes back, with the degradation reason recorded in the result. *)
 
 open Ba_cfg
 module Profile = Ba_profile.Profile
 
 type config = {
-  solver : Ba_tsp.Iterated.config;  (** includes the solver budgets *)
+  solver : Ba_tsp.Iterated.config;  (** iterated 3-Opt parameters *)
   exact_below : int;
       (** solve instances with at most this many cities exactly;
           0 disables exact solving *)
@@ -28,8 +28,8 @@ type result = {
 (** Solve a pre-built reduction instance (lets callers time matrix
     construction and solving separately).  [rng], when given, is the
     task's own random stream; the default derives a deterministic state
-    from the config and the instance.  Never raises on budget
-    exhaustion.  [initial], when given and valid for the instance's
+    from the config and the instance.  An absent [budget] means no
+    limit.  Never raises on budget exhaustion.  [initial], when given and valid for the instance's
     CFG, seeds run 0 of the iterated solver with that layout's tour
     instead of the identity — the warm-start hook for incremental
     re-alignment (invalid orders are silently ignored). *)

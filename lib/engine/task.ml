@@ -19,7 +19,7 @@
 
 (** Pipeline stages a task may open a span for, mirroring the classic
     per-procedure aligner pipeline. *)
-type stage = Build | Solve | Verify
+type stage = Solve | Verify
 
 (* ------------------------------------------------------------------ *)
 
@@ -35,7 +35,6 @@ let rng ctx = ctx.rng
 let spans ctx = ctx.span_buf
 
 let stage_name = function
-  | Build -> "build"
   | Solve -> "solve"
   | Verify -> "verify"
 

@@ -4,7 +4,7 @@
     See docs/ARCHITECTURE.md for the determinism contract. *)
 
 (** Pipeline stages a task may open a span for. *)
-type stage = Build | Solve | Verify
+type stage = Solve | Verify
 
 (** Per-task execution context: seeded RNG + task-local span buffer. *)
 type ctx
@@ -17,7 +17,7 @@ val rng : ctx -> Random.State.t
 val spans : ctx -> Ba_obs.Span.buf
 
 (** [staged ctx stage f] runs [f ()] inside a span named after
-    [stage] (["build"], ["solve"], ["verify"]). *)
+    [stage] (["solve"], ["verify"]). *)
 val staged : ctx -> stage -> (unit -> 'a) -> 'a
 
 type 'a t = {

@@ -30,7 +30,11 @@ module Cycles = Ba_machine.Cycles
 module Executor = Ba_engine.Executor
 module Task = Ba_engine.Task
 
-type config = { model : Ba_machine.Model.t; tsp : Tsp_align.config }
+type config = {
+  model : Ba_machine.Model.t;
+  tsp : Tsp_align.config;
+  deadline_ms : int option;  (** wall-clock limit of each TSP solve *)
+}
 
 type measurement = {
   penalty : int;  (** analytic control-penalty cycles on the testing set *)
@@ -75,7 +79,8 @@ type row = {
   test_profile : Profile.t;  (** profile of one run on [test_input] *)
 }
 
-let default = { model = Ba_machine.Model.default; tsp = Tsp_align.default }
+let default =
+  { model = Ba_machine.Model.default; tsp = Tsp_align.default; deadline_ms = None }
 
 (** [hk_gap r] is the gap of the self-trained TSP penalty to the
     Held–Karp lower bound, as a fraction of the bound, clamped at 0 (0
@@ -91,7 +96,8 @@ let hk_gap r =
     construction and solve in their own ["matrix"] and ["solve"] spans.
     Returns the orders, the solver's DTSP walk cost of each
     ({!Tsp_align.result.cost}) and the exact/timeout counts.  Each
-    solve's RNG is seeded from its instance. *)
+    solve's RNG is seeded from its instance, and each solve gets its
+    own [cfg.deadline_ms] budget, started when the solve starts. *)
 let tsp_align_program (cfg : config) spans cfgs ~train =
   let sp name f = Ba_obs.Span.with_span spans name f in
   let n_exact = ref 0 and n_timeouts = ref 0 in
@@ -103,7 +109,13 @@ let tsp_align_program (cfg : config) spans cfgs ~train =
               Reduction.build cfg.model g ~profile:(Profile.proc train fid))
         in
         let r =
-          sp "solve" (fun () -> Tsp_align.solve_instance ~config:cfg.tsp inst)
+          sp "solve" (fun () ->
+              let budget =
+                Option.map
+                  (fun ms -> Ba_robust.Budget.create ~deadline_ms:ms ())
+                  cfg.deadline_ms
+              in
+              Tsp_align.solve_instance ~config:cfg.tsp ?budget inst)
         in
         if r.Tsp_align.exact then incr n_exact;
         if r.Tsp_align.degraded <> None then incr n_timeouts;

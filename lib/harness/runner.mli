@@ -14,6 +14,10 @@ module Workload = Ba_workloads.Workload
 type config = {
   model : Ba_machine.Model.t;  (** cost model every stage runs under *)
   tsp : Ba_align.Tsp_align.config;
+  deadline_ms : int option;
+      (** wall-clock limit of each TSP solve ([balign bench
+          --deadline-ms]); a solve it cuts short counts in
+          [tsp_timeouts].  [None]: no limit *)
 }
 
 val default : config

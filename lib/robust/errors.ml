@@ -32,8 +32,7 @@ type t =
       proc : int option;
       elapsed_ms : float;
       deadline_ms : int option;
-      moves : int;
-    }  (** the TSP solver exhausted its wall-clock or move budget *)
+    }  (** the TSP solver exhausted its wall-clock budget *)
   | Invalid_layout of { proc : int option; name : string option; reason : string }
       (** a realized layout failed the semantic faithfulness check *)
   | Io_error of { path : string; reason : string }
@@ -76,12 +75,12 @@ let pp ppf = function
       Fmt.pf ppf "profile mismatch%a: expected %d %s, got %d"
         Fmt.(option (fun ppf p -> Fmt.pf ppf " in procedure %d" p))
         proc expected what got
-  | Solver_timeout { proc; elapsed_ms; deadline_ms; moves } ->
-      Fmt.pf ppf "solver budget exhausted%a after %.1f ms%a (%d moves)"
+  | Solver_timeout { proc; elapsed_ms; deadline_ms } ->
+      Fmt.pf ppf "solver budget exhausted%a after %.1f ms%a"
         Fmt.(option (fun ppf p -> Fmt.pf ppf " in procedure %d" p))
         proc elapsed_ms
         Fmt.(option (fun ppf d -> Fmt.pf ppf " (deadline %d ms)" d))
-        deadline_ms moves
+        deadline_ms
   | Invalid_layout { proc; name; reason } ->
       Fmt.pf ppf "unfaithful layout%a%a: %s"
         Fmt.(option (fun ppf p -> Fmt.pf ppf " in procedure %d" p))

@@ -25,7 +25,6 @@ type t =
       proc : int option;
       elapsed_ms : float;
       deadline_ms : int option;
-      moves : int;
     }
   | Invalid_layout of { proc : int option; name : string option; reason : string }
   | Io_error of { path : string; reason : string }

@@ -12,14 +12,12 @@ open Ba_cfg
 module Profile = Ba_profile.Profile
 module Errors = Ba_robust.Errors
 module Budget = Ba_robust.Budget
-module Executor = Ba_engine.Executor
 module Metrics = Ba_obs.Metrics
 module Json = Ba_obs.Json
 
 let ( let* ) = Result.bind
 
 type config = {
-  executor : Executor.t;
   model : Ba_machine.Model.t;
       (** default cost model for requests without a [model] field *)
   cache_capacity : int;
@@ -35,7 +33,6 @@ type config = {
 
 let default =
   {
-    executor = Executor.Seq;
     model = Ba_machine.Model.default;
     cache_capacity = 256;
     cache_file = None;
@@ -112,7 +109,7 @@ let solve config cache ~key ~warm cfg profile (options : Wire.align_options) :
   let deadline_ms = Budget.clamp_deadline ?cap:config.max_deadline_ms requested in
   let train = { Profile.procs = [| profile |]; calls = [] } in
   match
-    Ba_align.Driver.align_checked ~executor:config.executor ?deadline_ms
+    Ba_align.Driver.align_checked ?deadline_ms
       ~fallback:true
       ~warm_start:(fun _ -> warm)
       options.Wire.method_ model [| cfg |] ~train

@@ -1,7 +1,7 @@
 (** The crash-only alignment daemon behind [balign serve].
 
-    One request loop over a {!Wire.reader}: align requests are
-    scheduled as {!Ba_engine} tasks on the configured executor and
+    One request loop over a {!Wire.reader}: each align request (one
+    procedure) runs inline through [Driver.align_checked] and is
     answered with a layout that passed {!Ba_check.Certify} — or with a
     typed {!Ba_robust.Errors.t}.  There is no third outcome: a request
     can never crash the server (per-request exception barrier,
@@ -18,7 +18,6 @@
     cache makes restarts warm.  See docs/SERVING.md. *)
 
 type config = {
-  executor : Ba_engine.Executor.t;  (** pool the align tasks run on *)
   model : Ba_machine.Model.t;
       (** default cost model for requests that carry no [model] field *)
   cache_capacity : int;  (** LRU entries (≥ 1) *)

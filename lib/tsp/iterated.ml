@@ -22,7 +22,6 @@ type config = {
   nn_choices : int;  (** randomization width of nearest-neighbor starts *)
   greedy_skip : float;  (** skip probability of randomized greedy starts *)
   seed : int;
-  deadline_ms : int option;  (** wall-clock budget per solve; [None] = none *)
   tour_repr : Tour_repr.kind;
       (** tour representation for the 3-Opt states (trajectory-neutral;
           [Auto] gates on instance size) *)
@@ -37,7 +36,6 @@ let default =
     nn_choices = 3;
     greedy_skip = 0.1;
     seed = 0x5eed;
-    deadline_ms = None;
     tour_repr = Tour_repr.Auto;
   }
 
@@ -131,17 +129,15 @@ let brute_force (d : Dtsp.t) =
     derived from [config.seed] and the instance), so the solve is
     re-entrant — no global or otherwise shared state is touched, and
     concurrent solves of different instances cannot interfere.  [budget]
-    (defaulting to one built from the config's [deadline_ms]) is polled
-    between improving moves, kicks and restarts; on exhaustion the best
-    tour found so far is returned with [timed_out] set — the first
-    (identity-start) construction always completes, so a valid tour is
-    returned even for a zero budget. *)
+    (default: none, no limit) is polled between improving moves, kicks
+    and restarts; on exhaustion the best tour found so far is returned
+    with [timed_out] set — the first (identity-start) construction
+    always completes, so a valid tour is returned even for a zero
+    budget. *)
 let solve ?(config = default) ?rng ?budget ?initial (d : Dtsp.t) :
     int array * stats =
-  let budget =
-    match budget with
-    | Some b -> b
-    | None -> Ba_robust.Budget.create ?deadline_ms:config.deadline_ms ()
+  let exhausted () =
+    match budget with Some b -> Ba_robust.Budget.exhausted b | None -> false
   in
   let n = d.Dtsp.n in
   if n <= 3 then begin
@@ -167,7 +163,7 @@ let solve ?(config = default) ?rng ?budget ?initial (d : Dtsp.t) :
     (* run 0 (the identity start) always executes so that an exhausted
        budget still yields a valid tour; later runs are skipped once the
        budget runs out *)
-    while !run = 0 || (!run < config.runs && not (Ba_robust.Budget.exhausted budget)) do
+    while !run = 0 || (!run < config.runs && not (exhausted ())) do
       let start_directed =
         if !run = 0 then
           (* run 0 always completes even on an exhausted budget; with a
@@ -188,18 +184,18 @@ let solve ?(config = default) ?rng ?budget ?initial (d : Dtsp.t) :
           ~tour:(Sym.expand s start_directed)
       in
       Three_opt.activate_all st;
-      Three_opt.run ~budget st;
+      Three_opt.run ?budget st;
       (* costs in directed units: acceptance compares values that
          cannot wrap where the directed cost does not *)
       let run_best_cost = ref (Three_opt.directed_cost st) in
       let kick = ref 0 in
-      while !kick < kicks_per_run && not (Ba_robust.Budget.exhausted budget) do
+      while !kick < kicks_per_run && not (exhausted ()) do
         incr kick;
         incr total_kicks;
         Three_opt.mark st;
         let touched = double_bridge st rng in
         List.iter (Three_opt.activate st) touched;
-        Three_opt.run ~budget st;
+        Three_opt.run ?budget st;
         let c = Three_opt.directed_cost st in
         if c < !run_best_cost then begin
           run_best_cost := c;
@@ -224,7 +220,7 @@ let solve ?(config = default) ?rng ?budget ?initial (d : Dtsp.t) :
     done;
     let tour = Option.get !best_tour in
     assert (Dtsp.tour_cost d tour = !best_cost);
-    let timed_out = Ba_robust.Budget.exhausted budget in
+    let timed_out = exhausted () in
     (* observability: per-solve totals (move counters are fed by
        Three_opt.run itself) *)
     Ba_obs.Metrics.(

@@ -14,7 +14,6 @@ type config = {
   nn_choices : int;  (** randomization width of NN starts *)
   greedy_skip : float;  (** skip probability of greedy starts *)
   seed : int;
-  deadline_ms : int option;  (** wall-clock budget per solve *)
   tour_repr : Tour_repr.kind;
       (** tour representation for the 3-Opt states (trajectory-neutral;
           [Auto] gates on instance size) *)
@@ -48,12 +47,10 @@ val double_bridge : Three_opt.state -> Random.State.t -> int list
     budget; re-entrant — all randomness comes from [rng] (default: a
     state derived from [config.seed] and the instance) and no shared
     state is touched, so concurrent solves cannot interfere.  Instances
-    with n ≤ 3 are enumerated exactly.  The budget (built from the
-    config's [deadline_ms] when not passed explicitly; a move cap
-    arrives only as a [budget]) is polled between moves, kicks and
-    restarts; on exhaustion the best tour so far is returned with
-    [timed_out] set — a valid tour comes back even under a zero
-    budget.
+    with n ≤ 3 are enumerated exactly.  The [budget] (default: none,
+    no limit) is polled between moves, kicks and restarts; on
+    exhaustion the best tour so far is returned with [timed_out] set —
+    a valid tour comes back even under a zero budget.
 
     [initial], when given and of the right length, replaces the
     identity start of run 0 with a caller-supplied directed tour (must

@@ -440,7 +440,12 @@ let try_city st a =
                    let gain = ub - d st dd f in
                    if gain > 0 then begin
                      apply_3opt st ~pi ~jj ~kk ~gain T3;
-                     List.iter (activate st) [ a; b; x; y; dd; f ];
+                     activate st a;
+                     activate st b;
+                     activate st x;
+                     activate st y;
+                     activate st dd;
+                     activate st f;
                      found := true
                    end
                  end);
@@ -456,7 +461,12 @@ let try_city st a =
                    let gain = ub - d st c f in
                    if gain > 0 then begin
                      apply_3opt st ~pi ~jj ~kk ~gain T4;
-                     List.iter (activate st) [ a; b; x; y; c; f ];
+                     activate st a;
+                     activate st b;
+                     activate st x;
+                     activate st y;
+                     activate st c;
+                     activate st f;
                      found := true
                    end
                  end);
@@ -472,7 +482,12 @@ let try_city st a =
                    let gain = ub - d st e c in
                    if gain > 0 then begin
                      apply_3opt st ~pi ~jj ~kk ~gain T5;
-                     List.iter (activate st) [ a; b; x; y; c; e ];
+                     activate st a;
+                     activate st b;
+                     activate st x;
+                     activate st y;
+                     activate st c;
+                     activate st e;
                      found := true
                    end
                  end);
@@ -488,7 +503,12 @@ let try_city st a =
                    let gain = ub - d st c f in
                    if gain > 0 then begin
                      apply_3opt st ~pi ~jj ~kk ~gain T6;
-                     List.iter (activate st) [ a; b; x; y; c; f ];
+                     activate st a;
+                     activate st b;
+                     activate st x;
+                     activate st y;
+                     activate st c;
+                     activate st f;
                      found := true
                    end
                  end)
@@ -503,15 +523,12 @@ let try_city st a =
 
 (** Run to local optimality: process the active queue, repeatedly
     improving around each active city until its neighborhood is
-    exhausted.  When a [budget] is given, every improving move spends one
-    unit and the search stops at the first poll that reports exhaustion —
-    the tour is then merely locally unconverged, never invalid. *)
+    exhausted.  When a [budget] is given, the search stops at the first
+    poll (between moves) that reports exhaustion — the tour is then
+    merely locally unconverged, never invalid. *)
 let run ?budget st =
   let exhausted () =
     match budget with Some b -> Ba_robust.Budget.exhausted b | None -> false
-  in
-  let spend () =
-    match budget with Some b -> Ba_robust.Budget.spend b | None -> ()
   in
   let m2_before = st.moves_2opt and m3_before = st.moves_3opt in
   let splits_before = seg_splits st and rebal_before = rebalances st in
@@ -526,7 +543,6 @@ let run ?budget st =
          st.scans_skipped <- st.scans_skipped + 1
        else begin
          while try_city st a do
-           spend ();
            if exhausted () then raise_notrace Exit
          done;
          (* reached only when the scan returned false (a budget stop

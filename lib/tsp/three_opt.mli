@@ -112,8 +112,8 @@ val activate_all : state -> unit
 val try_city : state -> int -> bool
 
 (** Run to local optimality over the active queue.  With a [budget],
-    each improving move spends one unit and the search stops early (tour
-    still valid) once the budget is exhausted. *)
+    the search stops early (tour still valid) at the first poll between
+    moves that finds the budget exhausted. *)
 val run : ?budget:Ba_robust.Budget.t -> state -> unit
 
 (** Current tour (copied). *)

@@ -237,9 +237,9 @@ let skeleton exec =
       let tasks =
         Array.init 6 (fun i ->
             Task.make ~id:i ~label:(Printf.sprintf "t%d" i) (fun ctx ->
-                Task.staged ctx Task.Build (fun () -> ());
                 Task.staged ctx Task.Solve (fun () ->
                     Span.with_span (Task.spans ctx) "kick" (fun () -> ()));
+                Task.staged ctx Task.Verify (fun () -> ());
                 i * i))
       in
       ignore (Task.run_all exec tasks);
@@ -261,7 +261,7 @@ let test_trace_structure () =
       Alcotest.(check
         (list (pair string int)))
         "root + stages + nested"
-        [ ("task", -1); ("build", 0); ("solve", 0); ("kick", 2) ]
+        [ ("task", -1); ("solve", 0); ("kick", 1); ("verify", 0) ]
         spans)
     groups
 

@@ -207,7 +207,7 @@ let prop_double_bridge_preserves_locked_pairs =
       done;
       !ok)
 
-(* Whatever the budget — zero deadline, a handful of moves, unlimited —
+(* Whatever the budget — zero deadline, a few milliseconds, none —
    the solver must hand back a valid Hamiltonian walk whose cost is the
    tour's true directed cost and at least the Held–Karp bound. *)
 let prop_budgeted_solve_valid =
@@ -218,8 +218,8 @@ let prop_budgeted_solve_valid =
       let budgets =
         [
           Some (Ba_robust.Budget.create ~deadline_ms:0 ());
-          Some (Ba_robust.Budget.create ~max_moves:(seed mod 4) ());
-          None (* config default: unlimited *);
+          Some (Ba_robust.Budget.create ~deadline_ms:(seed mod 4) ());
+          None (* no limit *);
         ]
       in
       let light =

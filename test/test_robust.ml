@@ -110,47 +110,6 @@ let test_deadline_zero_no_fallback () =
   | Error e ->
       Alcotest.failf "expected Solver_timeout, got %s" (Errors.to_string e)
 
-(* A TSP config's own per-solve deadline applies on the checked path
-   too, as it does to a bare [align_proc]: the attempt's budget ends at
-   the earlier of the request deadline and the per-solve one. *)
-let test_solver_deadline_checked () =
-  let cfgs, train = program ~seed:5 ~n_procs:2 in
-  let with_deadline ms =
-    Driver.Tsp
-      {
-        Tsp_align.default with
-        solver = { Tsp_align.default.Tsp_align.solver with deadline_ms = Some ms };
-      }
-  in
-  let timeout what = function
-    | Error (Errors.Solver_timeout { deadline_ms = Some 0; _ }) -> ()
-    | Error e -> Alcotest.failf "%s: expected Solver_timeout, got %s" what (Errors.to_string e)
-    | Ok _ -> Alcotest.failf "%s: a zero per-solve deadline succeeded" what
-  in
-  timeout "align_proc"
-    (Driver.align_proc (with_deadline 0) penalties cfgs.(0)
-       ~profile:(Profile.proc train 0));
-  timeout "align_checked"
-    (Driver.align_checked ~fallback:false (with_deadline 0) penalties cfgs ~train);
-  timeout "align_checked under a request deadline"
-    (Driver.align_checked ~deadline_ms:60_000 ~fallback:false (with_deadline 0)
-       penalties cfgs ~train);
-  (match Driver.align_checked (with_deadline 0) penalties cfgs ~train with
-  | Ok report ->
-      Alcotest.(check (list string)) "every procedure fell back to calder"
-        [ "calder"; "calder" ]
-        (List.map (fun f -> Driver.method_name f.Driver.used) report.Driver.fallbacks)
-  | Error e -> Alcotest.failf "with fallback: %s" (Errors.to_string e));
-  (* a per-solve deadline that never fires changes nothing *)
-  match
-    ( Driver.align_checked ~fallback:false (with_deadline 60_000) penalties cfgs ~train,
-      Driver.align_checked ~fallback:false tsp penalties cfgs ~train )
-  with
-  | Ok a, Ok b ->
-      Alcotest.(check bool) "same layouts" true
-        (a.Driver.aligned.Driver.orders = b.Driver.aligned.Driver.orders)
-  | _ -> Alcotest.fail "a generous per-solve deadline failed"
-
 (* A generous deadline must not degrade anything, and the result must
    agree with the unchecked driver. *)
 let test_generous_deadline_no_fallback () =
@@ -170,37 +129,12 @@ let test_generous_deadline_no_fallback () =
             plain.Driver.orders.(fid) o)
         report.Driver.aligned.Driver.orders
 
-(* [within] keeps the nearer deadline and the shared move counter. *)
-let test_budget_within () =
-  let b = Budget.create ~deadline_ms:60_000 ~max_moves:3 () in
-  Alcotest.(check bool) "a later cap keeps the budget" true (Budget.within 120_000 b == b);
-  let cut = Budget.within 0 b in
-  Alcotest.(check bool) "a nearer cap is exhausted at 0" true (Budget.exhausted cut);
-  Alcotest.(check bool) "the original is not" false (Budget.exhausted b);
-  (match Budget.timeout_error cut with
-  | Errors.Solver_timeout { deadline_ms = Some 0; _ } -> ()
-  | e -> Alcotest.failf "reported %s" (Errors.to_string e));
-  let free = Budget.within 60_000 (Budget.unlimited ()) in
-  Alcotest.(check (option int)) "an unlimited budget gains the deadline" (Some 60_000)
-    (match Budget.timeout_error free with
-    | Errors.Solver_timeout t -> t.deadline_ms
-    | _ -> None);
-  let shared = Budget.within 60_000 (Budget.create ~max_moves:2 ()) in
-  Budget.spend shared;
-  Budget.spend shared;
-  Alcotest.(check bool) "the move allowance carries over" true (Budget.exhausted shared)
-
 (* Budget unit semantics. *)
 let test_budget_semantics () =
   let b = Budget.create ~deadline_ms:0 () in
   Alcotest.(check bool) "deadline 0 exhausted at once" true (Budget.exhausted b);
   let u = Budget.unlimited () in
   Alcotest.(check bool) "unlimited not exhausted" false (Budget.exhausted u);
-  let m = Budget.create ~max_moves:2 () in
-  Budget.spend m;
-  Alcotest.(check bool) "one move left" false (Budget.exhausted m);
-  Budget.spend m;
-  Alcotest.(check bool) "moves exhausted" true (Budget.exhausted m);
   match Budget.timeout_error ~proc:7 b with
   | Errors.Solver_timeout { proc = Some 7; deadline_ms = Some 0; _ } -> ()
   | e -> Alcotest.failf "bad timeout error: %s" (Errors.to_string e)
@@ -213,9 +147,6 @@ let test_budget_per_request () =
   let roomy = Budget.create ~deadline_ms:60_000 () in
   Alcotest.(check bool) "tight exhausted" true (Budget.exhausted tight);
   Alcotest.(check bool) "roomy unaffected" false (Budget.exhausted roomy);
-  Budget.spend tight;
-  Budget.spend tight;
-  Alcotest.(check int) "move counters independent" 0 (Budget.moves roomy);
   (match Budget.remaining_ms (Budget.unlimited ()) with
   | None -> ()
   | Some _ -> Alcotest.fail "unlimited budget reported a remaining time");
@@ -279,7 +210,7 @@ let test_budget_huge_deadline () =
    poll must not allocate: a boxed clock reading per poll would add
    minor collections to every budgeted solve. *)
 let test_budget_poll_allocates_nothing () =
-  let b = Budget.create ~deadline_ms:60_000 ~max_moves:max_int () in
+  let b = Budget.create ~deadline_ms:60_000 () in
   let live = ref 0 in
   let w0 = Gc.minor_words () in
   for _ = 1 to 10_000 do
@@ -305,21 +236,6 @@ let test_clamp_deadline () =
     (Budget.clamp_deadline (Some (-5)))
     (Some 0)
 
-(* The move counter is atomic: two domains spending into the same budget
-   lose no increments, and budgets spent concurrently stay separate. *)
-let test_budget_atomic_moves () =
-  let shared = Budget.create ~max_moves:max_int () in
-  let mine = Budget.create ~max_moves:max_int () in
-  let spend_n b n = fun () -> for _ = 1 to n do Budget.spend b done in
-  let d1 = Domain.spawn (spend_n shared 50_000) in
-  let d2 = Domain.spawn (spend_n shared 50_000) in
-  (spend_n mine 7_000) ();
-  Domain.join d1;
-  Domain.join d2;
-  Alcotest.(check int) "no lost increments" 100_000 (Budget.moves shared);
-  Alcotest.(check int) "concurrent budgets independent" 7_000
-    (Budget.moves mine)
-
 (* Exit codes are distinct and stable: they are part of the CLI contract
    documented in docs/ROBUSTNESS.md. *)
 let test_exit_codes_distinct () =
@@ -332,7 +248,7 @@ let test_exit_codes_distinct () =
       Errors.Invalid_profile { proc = None; src = None; dst = None; reason = "x" };
       Errors.Profile_mismatch { proc = None; expected = 1; got = 2; what = "x" };
       Errors.Solver_timeout
-        { proc = None; elapsed_ms = 0.; deadline_ms = Some 0; moves = 0 };
+        { proc = None; elapsed_ms = 0.; deadline_ms = Some 0 };
       Errors.Invalid_layout { proc = None; name = None; reason = "x" };
       Errors.Io_error { path = "x"; reason = "x" };
       Errors.Internal { where = "x"; reason = "x" };
@@ -412,12 +328,6 @@ let () =
           Alcotest.test_case "deadline poll allocates nothing" `Quick
             test_budget_poll_allocates_nothing;
           Alcotest.test_case "deadline clamping" `Quick test_clamp_deadline;
-          Alcotest.test_case "move counter atomic across domains" `Quick
-            test_budget_atomic_moves;
-          Alcotest.test_case "per-solve deadline on the checked path" `Quick
-            test_solver_deadline_checked;
-          Alcotest.test_case "within keeps the nearer deadline" `Quick
-            test_budget_within;
         ] );
       ( "contract",
         [

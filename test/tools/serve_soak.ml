@@ -20,8 +20,9 @@
 
    Writes a serve-soak/1 JSON artifact (validated by
    check_trace --serve-soak) and exits 1 on any contract violation.  A
-   write the server refuses (EPIPE: it ended the conversation early)
-   ends the soak as a crash naming the request id and fault kind; the
+   server that ends the conversation early — a write it refuses
+   (EPIPE), or a stream that ends while a response is awaited — ends
+   the soak as a crash naming the request id and fault kind; the
    artifact is still written. *)
 
 module Wire = Ba_serve.Wire
@@ -127,35 +128,6 @@ let check_error ~what (error : Wire.client_error) =
   if error.Wire.eexit < 2 || error.Wire.eexit > 10 then
     die "%s: undocumented exit code %d" what error.Wire.eexit
 
-let expect_ok ~what t (s : subject) profile =
-  match Driver.recv_response t with
-  | Some (Ok (Wire.C_ok { payload; _ })) ->
-      check_ok ~what s profile payload;
-      Some payload
-  | Some (Ok (Wire.C_error { error; _ })) ->
-      die "%s: expected ok, got error %s (%s)" what error.Wire.eclass
-        error.Wire.emessage
-  | Some (Ok _) -> die "%s: expected ok, got a different status" what
-  | Some (Error m) -> die "%s: undecodable response: %s" what m
-  | None -> die "%s: stream ended instead of a response" what
-
-(** An ok layout or a typed error, whichever comes. *)
-let expect_either ~what t (s : subject) profile =
-  match Driver.recv_response t with
-  | Some (Ok (Wire.C_ok { payload; _ })) -> check_ok ~what s profile payload
-  | Some (Ok (Wire.C_error { error; _ })) -> check_error ~what error
-  | Some (Ok _) -> die "%s: expected ok or an error, got a different status" what
-  | Some (Error m) -> die "%s: undecodable response: %s" what m
-  | None -> die "%s: stream ended instead of a response" what
-
-let expect_error ~what t =
-  match Driver.recv_response t with
-  | Some (Ok (Wire.C_error { error; _ })) -> check_error ~what error
-  | Some (Ok (Wire.C_ok _)) -> die "%s: expected a typed error, got ok" what
-  | Some (Ok _) -> die "%s: expected a typed error, got a different status" what
-  | Some (Error m) -> die "%s: undecodable response: %s" what m
-  | None -> die "%s: stream ended instead of an error response" what
-
 (* the artifact's path ([--out]); empty writes none *)
 let out = ref ""
 
@@ -186,31 +158,65 @@ let finish () =
     counts.cache_hits counts.warm_starts counts.uncertified counts.crashes;
   if counts.uncertified > 0 || counts.crashes > 0 then exit 1
 
-(** Run one write to the server.  A write that fails with EPIPE means
-    the server ended the conversation early: a crash, reported with
-    the request id and kind, after which the soak stops and still
-    writes its artifact. *)
+(** The server ended the conversation early: count a crash naming the
+    request id and kind ([how] says what the client saw), stop the
+    server, and end the soak with exit 1 after writing the artifact. *)
+let crash ~id ~kind t how =
+  counts.crashes <- counts.crashes + 1;
+  Printf.eprintf
+    "serve_soak: CRASH: request %d (%s): the server closed the \
+     conversation early (%s)\n%!"
+    id kind how;
+  (match Driver.stop t with
+  | Ok _ -> ()
+  | Error e ->
+      Printf.eprintf "serve_soak: the server raised %s\n%!"
+        (Printexc.to_string e));
+  counts.segments <- counts.segments + 1;
+  finish ();
+  exit 1
+
+(** Run one write to the server; a write that fails with EPIPE is a
+    {!crash}. *)
 let guard_write ~id ~kind t write =
   try write ()
   with Unix.Unix_error (Unix.EPIPE, _, _) ->
-    counts.crashes <- counts.crashes + 1;
-    Printf.eprintf
-      "serve_soak: CRASH: request %d (%s): the server closed the \
-       conversation early (EPIPE on write)\n%!"
-      id kind;
-    (match Driver.stop t with
-    | Ok _ -> ()
-    | Error e ->
-        Printf.eprintf "serve_soak: the server raised %s\n%!"
-          (Printexc.to_string e));
-    counts.segments <- counts.segments + 1;
-    (* exits 1: the crash is counted *)
-    finish ()
+    crash ~id ~kind t "EPIPE on write"
 
 let send ~id ~kind t req = guard_write ~id ~kind t (fun () -> Driver.send t req)
 
 let send_raw ~id ~kind t s =
   guard_write ~id ~kind t (fun () -> Driver.send_raw t s)
+
+let expect_ok ~id ~what t (s : subject) profile =
+  match Driver.recv_response t with
+  | Some (Ok (Wire.C_ok { payload; _ })) ->
+      check_ok ~what s profile payload;
+      Some payload
+  | Some (Ok (Wire.C_error { error; _ })) ->
+      die "%s: expected ok, got error %s (%s)" what error.Wire.eclass
+        error.Wire.emessage
+  | Some (Ok _) -> die "%s: expected ok, got a different status" what
+  | Some (Error m) -> die "%s: undecodable response: %s" what m
+  | None -> crash ~id ~kind:what t "stream ended before the response"
+
+(** An ok layout or a typed error, whichever comes.  The [expect_]
+    readers treat a stream that ends first as a {!crash}. *)
+let expect_either ~id ~what t (s : subject) profile =
+  match Driver.recv_response t with
+  | Some (Ok (Wire.C_ok { payload; _ })) -> check_ok ~what s profile payload
+  | Some (Ok (Wire.C_error { error; _ })) -> check_error ~what error
+  | Some (Ok _) -> die "%s: expected ok or an error, got a different status" what
+  | Some (Error m) -> die "%s: undecodable response: %s" what m
+  | None -> crash ~id ~kind:what t "stream ended before the response"
+
+let expect_error ~id ~what t =
+  match Driver.recv_response t with
+  | Some (Ok (Wire.C_error { error; _ })) -> check_error ~what error
+  | Some (Ok (Wire.C_ok _)) -> die "%s: expected a typed error, got ok" what
+  | Some (Ok _) -> die "%s: expected a typed error, got a different status" what
+  | Some (Error m) -> die "%s: undecodable response: %s" what m
+  | None -> crash ~id ~kind:what t "stream ended before the error response"
 
 let align_request ~id (s : subject) variant =
   Wire.Align
@@ -282,14 +288,14 @@ let () =
       let s = subjects.(Random.State.int rng (Array.length subjects)) in
       let req = align_request ~id s 0 in
       send ~id ~kind:"align" !t req;
-      let first = expect_ok ~what:"align" !t s s.profiles.(0) in
+      let first = expect_ok ~id ~what:"align" !t s s.profiles.(0) in
       (* every 6th: repeat the identical request immediately and demand
          a bit-identical cached layout *)
       if id mod 6 = 0 && !sent < !n_requests then begin
         incr sent;
         counts.requests <- counts.requests + 1;
         send ~id ~kind:"repeat" !t req;
-        match (first, expect_ok ~what:"repeat" !t s s.profiles.(0)) with
+        match (first, expect_ok ~id ~what:"repeat" !t s s.profiles.(0)) with
         | Some a, Some b ->
             if not b.Wire.cached then die "repeat of request %d not cached" id;
             if a.Wire.layout <> b.Wire.layout then
@@ -303,7 +309,7 @@ let () =
       let s = subjects.(Random.State.int rng (Array.length subjects)) in
       let v = 1 + Random.State.int rng 2 in
       send ~id ~kind:"drift" !t (align_request ~id s v);
-      ignore (expect_ok ~what:"drift" !t s s.profiles.(v))
+      ignore (expect_ok ~id ~what:"drift" !t s s.profiles.(v))
     end
     else if roll < 74 then begin
       send ~id ~kind:"stats" !t (Wire.Stats { id });
@@ -321,10 +327,10 @@ let () =
       send_raw ~id ~kind:(Faults.protocol_name k) !t
         (Faults.inject_protocol ~max_frame_bytes ~max_blocks ~seed:id k payload);
       match Faults.protocol_expectation k with
-      | `Error_response -> expect_error ~what:(Faults.protocol_name k) !t
-      | `Ok_response -> ignore (expect_ok ~what:(Faults.protocol_name k) !t s s.profiles.(0))
+      | `Error_response -> expect_error ~id ~what:(Faults.protocol_name k) !t
+      | `Ok_response -> ignore (expect_ok ~id ~what:(Faults.protocol_name k) !t s s.profiles.(0))
       | `Error_or_ok_response ->
-          expect_either ~what:(Faults.protocol_name k) !t s s.profiles.(0)
+          expect_either ~id ~what:(Faults.protocol_name k) !t s s.profiles.(0)
       | `Ends_stream -> assert false
     end
     else begin
@@ -338,7 +344,7 @@ let () =
       send_raw ~id ~kind:(Faults.protocol_name k) !t
         (Faults.inject_protocol ~max_frame_bytes ~max_blocks ~seed:id k payload);
       Driver.close_input !t;
-      expect_error ~what:(Faults.protocol_name k) !t;
+      expect_error ~id ~what:(Faults.protocol_name k) !t;
       (match Driver.recv_response !t with
       | None -> ()
       | Some _ -> die "%s: stream did not end" (Faults.protocol_name k));
